@@ -6,7 +6,7 @@ capability flags (``warm_start`` / ``sparse`` / ``exact`` /
 ``incremental``), looked up by name or alias via :func:`solve_lp`:
 
 * ``"highs-sparse"`` (alias ``"highs"``) — scipy's HiGHS (production
-  default), sparse-fed with warm-guided re-solve shortcuts,
+  default), fed sparse CSC straight to the HiGHS core,
 * ``"warm-tableau"`` (alias ``"simplex"``) — the from-scratch dense
   two-phase simplex in :mod:`repro.lp.simplex`, kept as an
   independently-tested reference with dual-simplex warm restarts,
@@ -22,8 +22,8 @@ oracle (the practical stand-in for the ellipsoid method cited in Theorem 1).
 :mod:`repro.lp.incremental` is the fast path for that driver's access
 pattern: :class:`IncrementalLP` stores rows sparsely (``O(nnz)`` cut
 appends) and holds one warm-state session per backend — a dual-simplex
-basis resume on ``"warm-tableau"``, a sparse + previous-solution-guided
-path on ``"highs-sparse"`` — while returning exactly the answers of the
+basis resume on ``"warm-tableau"``, a sparse CSC feed straight to the
+HiGHS core on ``"highs-sparse"`` — while returning exactly the answers of the
 dense cold path.
 """
 

@@ -13,8 +13,8 @@ Built-ins registered on import:
 ==============  =======================  ==============================
 name            aliases                  what it is
 ==============  =======================  ==============================
-``highs-sparse``  ``highs``              scipy's HiGHS, sparse-fed, with
-                                         the PR 5 warm-guided fast path
+``highs-sparse``  ``highs``              scipy's HiGHS, sparse CSC fed
+                                         straight to the solver core
 ``warm-tableau``  ``simplex``            the repo's two-phase tableau
                                          simplex with dual-simplex warm
                                          restarts
@@ -56,7 +56,7 @@ from repro.lp.backends.registry import (
 HIGHS_SPARSE = register_backend(
     LPBackendSpec(
         name="highs-sparse",
-        description="scipy HiGHS fed sparse, with warm-guided re-solve shortcuts",
+        description="scipy HiGHS fed sparse CSC straight to the solver core",
         solve=_highs.solve_dense,
         warm_start=True,
         sparse=True,

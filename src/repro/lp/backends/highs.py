@@ -1,12 +1,13 @@
-"""The ``highs-sparse`` backend: scipy's HiGHS, fed sparse, warm-guided.
+"""The ``highs-sparse`` backend: scipy's HiGHS, fed sparse.
 
 The production default.  The cold dense path is what ``solve_lp`` always
-did; the incremental session is the PR 5 fast path moved behind the
-registry verbatim:
+did; the incremental session feeds the same solver from the sparse row
+store:
 
-* re-solves whose appended rows are already satisfied by the previous
-  optimum are answered from that optimum without calling the solver
-  (adding satisfied constraints cannot displace a minimization optimum);
+* every re-solve of a grown program runs HiGHS on the whole program, so
+  its optimum is bit-identical to a cold solve of the dense twin (a
+  previous optimum that already satisfies the new rows is still optimal,
+  but need not be the point a cold solve returns);
 * a rowless LP with strictly positive costs is answered analytically at
   the lower-bound vertex (bit-for-bit what HiGHS returns);
 * otherwise the HiGHS core is driven directly through handles captured
@@ -20,7 +21,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from repro.lp.problem import LinearProgram, LPResult, LPStatus
@@ -105,25 +105,6 @@ class HighsSession:
         self, cached: Optional[Tuple[int, LPResult]], max_iter: int = 20_000
     ) -> Tuple[LPResult, bool]:
         inc = self._inc
-        # Solution-guided shortcut: rows appended since an optimal solve
-        # that the previous optimum already satisfies cannot displace it.
-        if cached is not None and cached[1].ok:
-            rows_solved, prev = cached
-            x = prev.x
-            assert x is not None
-            lo, hi = inc._indptr[rows_solved], inc._indptr[inc._m]
-            tail = sp.csr_matrix(
-                (
-                    inc._data[lo:hi],
-                    inc._indices[lo:hi],
-                    inc._indptr[rows_solved : inc._m + 1] - lo,
-                ),
-                shape=(inc._m - rows_solved, inc.n_vars),
-                copy=False,
-            )
-            if np.all(tail @ x <= np.asarray(inc._rhs[rows_solved:], dtype=float)):
-                return prev, True
-
         # Rowless LP with strictly positive costs: the optimum is exactly
         # the lower-bound vertex (unique, and what HiGHS returns bit-for-bit
         # — LP (1)'s first round hits this every solve).

@@ -9,11 +9,14 @@ path built for exactly that pattern:
 * the constraint store is CSR-shaped from the start (``data`` / ``indices``
   / ``indptr`` growth buffers with amortized-doubling capacity), so a cut
   appends in ``O(nnz(row))`` and nothing dense is ever materialized;
+  :meth:`IncrementalLP.add_rows` appends a whole CSR block at once (the
+  LP (2) builder assembles its entire program that way), and the one-row
+  methods are one-row blocks of it;
 * each backend from the :mod:`repro.lp.backends` registry holds its warm
   state in a per-program *session* (``spec.make_session(inc)``): the
   ``highs-sparse`` session feeds the rows as a ``scipy.sparse.csr_matrix``
-  *view* over the buffers and answers satisfied-cut re-solves from the
-  previous optimum without calling the solver; the ``warm-tableau``
+  *view* over the buffers and re-solves the whole grown program, so its
+  answers stay bit-identical to a cold solve; the ``warm-tableau``
   session resumes from the previous optimal basis via
   :class:`~repro.lp.simplex.WarmSimplex` (dual-simplex warm start);
   backends without incremental machinery fall back to a cold
@@ -39,14 +42,34 @@ from repro.lp.backends import get_backend
 from repro.lp.problem import LinearProgram, LPResult
 
 
+def sparse_row(
+    entries: Sequence[Tuple[int, float]], n_vars: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted columns and values of a row given as (index, coefficient) pairs.
+
+    Duplicate indices accumulate and zero sums are dropped, exactly as
+    :meth:`~repro.lp.problem.LinearProgram.add_sparse_constraint` builds
+    its dense row; raises ``IndexError`` for a column outside ``[0, n_vars)``.
+    """
+    acc: dict = {}
+    for idx, coef in entries:
+        if not 0 <= idx < n_vars:
+            raise IndexError(f"column {idx} out of range for {n_vars} variables")
+        acc[idx] = acc.get(idx, 0.0) + float(coef)
+    cols = np.fromiter(sorted(acc), dtype=np.int64, count=len(acc))
+    vals = np.array([acc[int(i)] for i in cols], dtype=np.float64)
+    keep = vals != 0.0
+    return cols[keep], vals[keep]
+
+
 @dataclass
 class LPStats:
     """Solve-path bookkeeping for one :class:`IncrementalLP`."""
 
     #: backend solves requested (including ones answered without a solver run)
     solves: int = 0
-    #: re-solves served from warm state: a resumed simplex basis, a cached
-    #: optimum, or a satisfied-cuts shortcut — anything cheaper than cold
+    #: re-solves served from warm state: a resumed simplex basis or the
+    #: cached optimum of an unchanged program — anything cheaper than cold
     warm_start_hits: int = 0
     #: rows appended over the program's lifetime
     rows_added: int = 0
@@ -127,40 +150,71 @@ class IncrementalLP:
         Duplicate indices accumulate, matching
         :meth:`~repro.lp.problem.LinearProgram.add_sparse_constraint`.
         """
-        acc: dict = {}
-        for idx, coef in entries:
-            if not 0 <= idx < self.n_vars:
-                raise IndexError(f"column {idx} out of range for {self.n_vars} variables")
-            acc[idx] = acc.get(idx, 0.0) + float(coef)
-        cols = np.fromiter(sorted(acc), dtype=np.int64, count=len(acc))
-        vals = np.array([acc[int(i)] for i in cols], dtype=np.float64)
-        keep = vals != 0.0
-        self._append_row(cols[keep], vals[keep], rhs)
+        cols, vals = sparse_row(entries, self.n_vars)
+        self._append_row(cols, vals, rhs)
 
     def _append_row(self, cols: np.ndarray, vals: np.ndarray, rhs: float) -> None:
-        """O(nnz) append into the CSR buffers (amortized-doubling growth)."""
-        order = np.argsort(cols, kind="stable")
-        cols, vals = cols[order], vals[order]
-        k = len(cols)
+        """Append one row with sorted, distinct columns (a one-row block)."""
+        self.add_rows((0, len(cols)), cols, vals, (rhs,))
+
+    def add_rows(
+        self,
+        indptr: Sequence[int] | np.ndarray,
+        indices: Sequence[int] | np.ndarray,
+        data: Sequence[float] | np.ndarray,
+        rhs: Sequence[float] | np.ndarray,
+    ) -> None:
+        """Append a block of rows given in CSR form.
+
+        Row ``r`` of the block is ``data[indptr[r]:indptr[r+1]]`` at the
+        columns ``indices[indptr[r]:indptr[r+1]]``, bounded by ``rhs[r]``.
+        Columns must be sorted and distinct within a row.  Entries are
+        stored as given (explicit zeros included), so a block of nonzero
+        entries is byte-identical to the same rows appended one at a time
+        through :meth:`add_sparse_constraint`.  The buffers grow at most once per
+        block (amortized doubling).  Raises ``IndexError`` for a column
+        outside ``[0, n_vars)`` and ``ValueError`` for inconsistent block
+        shapes; either way the program is left unchanged.
+        """
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        data = np.asarray(data, dtype=np.float64)
+        bounds = np.asarray(rhs, dtype=np.float64)
+        rows = len(indptr) - 1
+        k = len(indices)
+        if (
+            rows < 0
+            or indptr[0] != 0
+            or indptr[-1] != k
+            or data.shape != (k,)
+            or bounds.shape != (rows,)
+        ):
+            raise ValueError(
+                f"inconsistent CSR block: {len(indptr)} indptr entries, "
+                f"{k} indices, {data.size} values, {bounds.size} right-hand sides"
+            )
+        if k and (indices.min() < 0 or indices.max() >= self.n_vars):
+            bad = indices[(indices < 0) | (indices >= self.n_vars)][0]
+            raise IndexError(f"column {bad} out of range for {self.n_vars} variables")
         nnz, m = self._nnz, self._m
         if nnz + k > len(self._data):
             cap = max(2 * len(self._data), nnz + k)
-            data = np.empty(cap, dtype=np.float64)
-            data[:nnz] = self._data[:nnz]
-            indices = np.empty(cap, dtype=np.int64)
-            indices[:nnz] = self._indices[:nnz]
-            self._data, self._indices = data, indices
-        if m + 2 > len(self._indptr):
-            indptr = np.zeros(max(2 * len(self._indptr), m + 2), dtype=np.int64)
-            indptr[: m + 1] = self._indptr[: m + 1]
-            self._indptr = indptr
-        self._data[nnz : nnz + k] = vals
-        self._indices[nnz : nnz + k] = cols
-        self._indptr[m + 1] = nnz + k
+            grown = np.empty(cap, dtype=np.float64)
+            grown[:nnz] = self._data[:nnz]
+            grown_idx = np.empty(cap, dtype=np.int64)
+            grown_idx[:nnz] = self._indices[:nnz]
+            self._data, self._indices = grown, grown_idx
+        if m + rows + 1 > len(self._indptr):
+            grown_ptr = np.zeros(max(2 * len(self._indptr), m + rows + 1), dtype=np.int64)
+            grown_ptr[: m + 1] = self._indptr[: m + 1]
+            self._indptr = grown_ptr
+        self._data[nnz : nnz + k] = data
+        self._indices[nnz : nnz + k] = indices
+        self._indptr[m + 1 : m + rows + 1] = nnz + indptr[1:]
         self._nnz = nnz + k
-        self._m = m + 1
-        self._rhs.append(float(rhs))
-        self.stats.rows_added += 1
+        self._m = m + rows
+        self._rhs.extend(bounds.tolist())
+        self.stats.rows_added += rows
 
     # -- materialization -----------------------------------------------------
 

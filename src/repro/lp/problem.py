@@ -91,9 +91,15 @@ class LinearProgram:
         self._mat_cache = None
 
     def add_sparse_constraint(self, entries: Sequence[Tuple[int, float]], rhs: float) -> None:
-        """Append a row given as (index, coefficient) pairs."""
+        """Append a row given as (index, coefficient) pairs.
+
+        Duplicate indices accumulate; a column outside ``[0, n_vars)``
+        raises ``IndexError`` (negative indices do not wrap around).
+        """
         row = np.zeros(self.n_vars)
         for idx, coef in entries:
+            if not 0 <= idx < self.n_vars:
+                raise IndexError(f"column {idx} out of range for {self.n_vars} variables")
             row[idx] += coef
         self.add_constraint(row, rhs)
 

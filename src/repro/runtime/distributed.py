@@ -839,6 +839,10 @@ class SweepCoordinator:
         now = time.monotonic()
         for path in sorted(paths.results.glob("*.json")):
             name_index = _index_of_spool_name(path.name)
+            if name_index is None:
+                # A worker's in-flight ``.tmp-*.json`` (see
+                # _atomic_write_json): not a result until it is renamed.
+                continue
             try:
                 data = json.loads(path.read_text())
                 index = int(data["index"])
@@ -848,7 +852,7 @@ class SweepCoordinator:
                     raise TypeError("outcome must be a dict")
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 path.unlink(missing_ok=True)
-                if name_index is not None and self.board.force_done(name_index):
+                if self.board.force_done(name_index):
                     self.folder.fold_failure(
                         name_index, f"corrupt spool result {path.name}: {exc}"
                     )

@@ -40,6 +40,7 @@ from repro.lp import (
     solve_lp,
     solve_with_cutting_planes,
 )
+from repro.lp.incremental import sparse_row
 from repro.games.broadcast import TreeState
 from repro.games.engine import BestResponseEngine, _StateBinding
 from repro.games.equilibrium import check_equilibrium
@@ -333,29 +334,22 @@ def solve_sne_cutting_plane_lp1(
 # ---------------------------------------------------------------------------
 
 
-def solve_sne_polynomial_lp2(
-    state: AnyState,
-    method: str = "highs",
-    verify: bool = True,
-    fast: bool = True,
-    certify: bool = False,
-) -> SNEResult:
-    """Minimum subsidies via the polynomial LP (2).
+def build_polynomial_lp2(
+    state: AnyState, fast: bool = True
+) -> Tuple[Union[IncrementalLP, LinearProgram], List[Edge]]:
+    """Materialize LP (2) for a target state.
 
-    Variables: ``b_a`` for every edge plus ``pi_i(v)`` for every player and
-    node.  ``pi_i`` is a certified lower bound on the deviator-priced
-    shortest-path distance from ``s_i``; requiring ``pi_i(t_i) >=
-    cost_i(T; b)`` is then exactly the equilibrium condition.
+    Variables: ``b_a`` for every edge (in the returned edge order) plus
+    ``pi_i(v)`` for every player and node.  Per player, one row per
+    allowed arc, in ``graph.edges()`` order with the directions ``(u, v)``
+    then ``(v, u)``, followed by the player's path row.
 
-    Family-aware like LP (1): rule-priced states (weighted demands,
-    per-edge splits) contribute ``alpha_i(a)``-scaled coefficients, and
-    directed games only get edge relaxations along their allowed arcs.
-
-    LP (2) rows are 3-sparse in ``n_players * n_nodes + n_edges``
-    variables, so the dense materialization is quadratically wasteful;
-    with ``fast`` (the default) the same rows stream into a sparse
-    :class:`~repro.lp.incremental.IncrementalLP` instead.  ``fast=False``
-    keeps the dense reference build (identical rows, identical solution).
+    With ``fast`` (the default) each player's arc rows are computed as
+    numpy arrays, with the same float operations in the same order as a
+    row-by-row build, and the whole LP is appended to a sparse
+    :class:`~repro.lp.incremental.IncrementalLP` as one CSR block; its
+    buffers are byte-identical to appending the rows one at a time.
+    ``fast=False`` keeps the dense row-by-row reference build.
     """
     game = state.game
     graph = game.graph
@@ -399,35 +393,9 @@ def solve_sne_polynomial_lp2(
     for i, (s_i, _t_i, _path) in enumerate(players):
         upper[pi_var(i, s_i)] = 0.0  # pi_i(s_i) = 0 via bounds
 
-    engine = BestResponseEngine.for_graph(graph)
-    stats = engine.stats
-    before = stats.snapshot()
-
-    lp: Union[IncrementalLP, LinearProgram]
-    if fast:
-        lp = IncrementalLP(n_vars, c=c, lower=lower, upper=upper)
-    else:
-        lp = LinearProgram(n_vars=n_vars, c=c, lower=lower, upper=upper)
-
-    for i, (s_i, t_i, path) in enumerate(players):
-        own = set(path)
-        # Edge relaxations: pi(v) <= pi(u) + alpha (w - b)/d per allowed arc.
-        for u, v, w in graph.edges():
-            e = canonical_edge(u, v)
-            a_i = alpha(i, e)
-            d = usage.get(e, 0) + a_i - (a_i if e in own else 0)
-            for tail, head in ((u, v), (v, u)):
-                if allows is not None and not allows(tail, head):
-                    continue
-                # pi(head) - pi(tail) + alpha b_e/d <= alpha w/d
-                lp.add_sparse_constraint(
-                    [
-                        (pi_var(i, head), 1.0),
-                        (pi_var(i, tail), -1.0),
-                        (e_index[e], a_i / d),
-                    ],
-                    a_i * w / d,
-                )
+    def path_row(
+        i: int, t_i: Node, path: List[Edge]
+    ) -> Tuple[List[Tuple[int, float]], float]:
         # pi_i(t_i) >= cost_i(T; b):
         #   -pi(t_i) - sum alpha b_a/L_a <= -sum alpha w_a/L_a
         entries = [(pi_var(i, t_i), -1.0)]
@@ -437,7 +405,124 @@ def solve_sne_polynomial_lp2(
             n_a = usage[e]
             entries.append((e_index[e], -a_i / n_a))
             rhs -= a_i * graph.weight(*e) / n_a
-        lp.add_sparse_constraint(entries, rhs)
+        return entries, rhs
+
+    if not fast:
+        lp = LinearProgram(n_vars=n_vars, c=c, lower=lower, upper=upper)
+        for i, (s_i, t_i, path) in enumerate(players):
+            own = set(path)
+            # Edge relaxations: pi(v) <= pi(u) + alpha (w - b)/d per allowed arc.
+            for u, v, w in graph.edges():
+                e = canonical_edge(u, v)
+                a_i = alpha(i, e)
+                d = usage.get(e, 0) + a_i - (a_i if e in own else 0)
+                for tail, head in ((u, v), (v, u)):
+                    if allows is not None and not allows(tail, head):
+                        continue
+                    # pi(head) - pi(tail) + alpha b_e/d <= alpha w/d
+                    lp.add_sparse_constraint(
+                        [
+                            (pi_var(i, head), 1.0),
+                            (pi_var(i, tail), -1.0),
+                            (e_index[e], a_i / d),
+                        ],
+                        a_i * w / d,
+                    )
+            lp.add_sparse_constraint(*path_row(i, t_i, path))
+        return lp, all_edges
+
+    # The arc table, built once: edge column, tail/head node offsets and
+    # weight of every allowed arc, in the row-by-row build's order.
+    arcs = [
+        (e_index[canonical_edge(u, v)], v_index[tail], v_index[head], w)
+        for u, v, w in graph.edges()
+        for tail, head in ((u, v), (v, u))
+        if allows is None or allows(tail, head)
+    ]
+    n_arcs = len(arcs)
+    edge_col = np.array([arc[0] for arc in arcs], dtype=np.int64)
+    tail_off = np.array([arc[1] for arc in arcs], dtype=np.int64)
+    head_off = np.array([arc[2] for arc in arcs], dtype=np.int64)
+    w_arc = np.array([arc[3] for arc in arcs], dtype=np.float64)
+    usage_arc = np.array([usage.get(e, 0) for e in all_edges], dtype=np.float64)[edge_col]
+    # Every edge column precedes every pi column, so an arc row's sorted
+    # columns are b_e, then the lower and the higher of pi(head), pi(tail).
+    head_first = head_off < tail_off
+    lo_off = np.where(head_first, head_off, tail_off)
+    hi_off = np.where(head_first, tail_off, head_off)
+    lo_val = np.where(head_first, 1.0, -1.0)
+
+    indices: List[np.ndarray] = []
+    data: List[np.ndarray] = []
+    row_nnz: List[np.ndarray] = []
+    rhs: List[float] = []
+    for i, (_s_i, t_i, path) in enumerate(players):
+        if isinstance(state, TreeState):  # fair sharing: alpha = 1 everywhere
+            a = np.ones(n_arcs)
+        else:
+            a = np.array([alpha(i, e) for e in all_edges], dtype=np.float64)[edge_col]
+        own = np.zeros(m, dtype=bool)
+        own[[e_index[e] for e in path]] = True
+        d = usage_arc + a - np.where(own[edge_col], a, 0.0)
+        if np.any(d == 0.0):
+            raise ZeroDivisionError("float division by zero")
+        coef = a / d
+        base = m + i * n_nodes
+        cols = np.stack([edge_col, base + lo_off, base + hi_off], axis=1)
+        vals = np.stack([coef, lo_val, -lo_val], axis=1)
+        keep = np.ones((n_arcs, 3), dtype=bool)
+        keep[:, 0] = coef != 0.0  # a zero alpha drops b_e, as sparse_row does
+        indices.append(cols[keep])
+        data.append(vals[keep])
+        row_nnz.append(keep.sum(axis=1))
+        rhs.extend((a * w_arc / d).tolist())
+
+        entries, path_rhs = path_row(i, t_i, path)
+        path_cols, path_vals = sparse_row(entries, n_vars)
+        indices.append(path_cols)
+        data.append(path_vals)
+        row_nnz.append(np.array([len(path_cols)]))
+        rhs.append(path_rhs)
+
+    inc = IncrementalLP(n_vars, c=c, lower=lower, upper=upper)
+    if players:
+        nnz = np.concatenate(row_nnz)
+        indptr = np.zeros(len(nnz) + 1, dtype=np.int64)
+        np.cumsum(nnz, out=indptr[1:])
+        inc.add_rows(indptr, np.concatenate(indices), np.concatenate(data), rhs)
+    return inc, all_edges
+
+
+def solve_sne_polynomial_lp2(
+    state: AnyState,
+    method: str = "highs",
+    verify: bool = True,
+    fast: bool = True,
+    certify: bool = False,
+) -> SNEResult:
+    """Minimum subsidies via the polynomial LP (2).
+
+    Variables: ``b_a`` for every edge plus ``pi_i(v)`` for every player and
+    node.  ``pi_i`` is a certified lower bound on the deviator-priced
+    shortest-path distance from ``s_i``; requiring ``pi_i(t_i) >=
+    cost_i(T; b)`` is then exactly the equilibrium condition.
+
+    Family-aware like LP (1): rule-priced states (weighted demands,
+    per-edge splits) contribute ``alpha_i(a)``-scaled coefficients, and
+    directed games only get edge relaxations along their allowed arcs.
+
+    LP (2) rows are 3-sparse in ``n_players * n_nodes + n_edges``
+    variables, so the dense materialization is quadratically wasteful;
+    with ``fast`` (the default) :func:`build_polynomial_lp2` assembles
+    them as one sparse block instead.  ``fast=False`` keeps the dense
+    reference build (identical rows, identical solution).
+    """
+    graph = state.game.graph
+    lp, all_edges = build_polynomial_lp2(state, fast=fast)
+    m = len(all_edges)
+    engine = BestResponseEngine.for_graph(graph)
+    stats = engine.stats
+    before = stats.snapshot()
 
     backend = get_backend(method).name
     if isinstance(lp, IncrementalLP):

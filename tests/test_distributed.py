@@ -384,6 +384,24 @@ class TestSpoolStealing:
         assert result.counts["ok"] == result.total - 1
         assert "corrupt spool result" in result.failures[0]["error"]
 
+    def test_scan_leaves_in_flight_temp_result_alone(self, tmp_path):
+        """A worker's half-written ``.tmp-*.json`` is not a corrupt result.
+
+        Deleting it made the worker's ``os.replace`` fail, so the job never
+        completed and ``run()`` waited forever.
+        """
+        spool = tmp_path / "spool"
+        coordinator = SweepCoordinator(
+            small_spec(count=1).expand(), cache=False, spool=spool,
+        )
+        temp = spool / "results" / ".tmp-x.json"
+        temp.write_text("")
+        coordinator._spool_scan()
+        assert temp.exists()
+        assert coordinator.folder.failures == []
+        assert coordinator.folder.counts.get("failed", 0) == 0
+        coordinator.folder.close()
+
 
 # ---------------------------------------------------------------------------
 # worker-crash containment (a real SIGKILL on a real worker process)

@@ -49,9 +49,12 @@ def _assert_agree(inc, dense, method, context):
             assert np.array_equal(ri.x, rd.x), context
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_parity_over_random_constraint_streams(method):
-    rng = np.random.default_rng(hash(method) % 2**32)
+#: one fixed stream seed per method (``hash(str)`` changes per process)
+STREAM_SEEDS = {"highs": 2012, "simplex": 2013}
+
+
+def _check_random_constraint_streams(method, seed):
+    rng = np.random.default_rng(seed)
     for trial in range(25):
         n = int(rng.integers(3, 12))
         inc, dense = _random_pair(rng, n)
@@ -64,6 +67,18 @@ def test_parity_over_random_constraint_streams(method):
                 inc.add_constraint(row, rhs)
                 dense.add_constraint(row, rhs)
             _assert_agree(inc, dense, method, (trial, batch))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_parity_over_random_constraint_streams(method):
+    _check_random_constraint_streams(method, STREAM_SEEDS[method])
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_parity_pinned_stream_seed_15(method):
+    """Seed 15 once broke HiGHS bit-identity (trial 14, batch 1): a re-solve
+    answered from the previous optimum instead of solving the grown LP."""
+    _check_random_constraint_streams(method, 15)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -191,11 +206,14 @@ def test_warm_start_bookkeeping():
     again = lp.solve(method="highs")
     assert again is first
     assert lp.stats.warm_start_hits == hits0 + 1
-    # A row the optimum already satisfies cannot displace it.
+    # A row the optimum already satisfies still triggers a real re-solve,
+    # whose point is bit-equal to a cold solve of the dense twin.
     lp.add_constraint([1.0, 1.0, 1.0], 100.0)
-    shortcut = lp.solve(method="highs")
-    assert shortcut is first
-    assert lp.stats.warm_start_hits == hits0 + 2
+    resolved = lp.solve(method="highs")
+    assert resolved.ok and resolved is not first
+    cold = solve_lp(lp.to_linear_program(), method="highs")
+    assert np.array_equal(resolved.x, cold.x)
+    assert lp.stats.warm_start_hits == hits0 + 1
     # A violated row (x2 >= 0.5 while the optimum has x2 = 0) forces a
     # real re-solve.
     assert first.x is not None and first.x[2] == 0.0
@@ -243,3 +261,94 @@ def test_matrices_cache_invalidated_across_backend_swap():
         res = solve_lp(lp, method=method)
         assert res.status is LPStatus.OPTIMAL
         assert res.objective == pytest.approx(3.0), method
+
+
+def _buffers(lp):
+    """The four row-store buffers, as bytes."""
+    A = lp.sparse_matrix()
+    return (
+        A.data.tobytes(),
+        A.indices.tobytes(),
+        A.indptr.tobytes(),
+        np.asarray(lp.rhs, dtype=float).tobytes(),
+    )
+
+
+def _random_sparse_rows(rng, n, count):
+    rows = []
+    for _ in range(count):
+        cols = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        rows.append((cols, rng.normal(size=len(cols)), float(rng.normal())))
+    return rows
+
+
+def test_add_rows_matches_row_by_row_appends():
+    rng = np.random.default_rng(3)
+    n = 9
+    head = _random_sparse_rows(rng, n, 3)
+    block = _random_sparse_rows(rng, n, 30)  # crosses several doublings
+    by_row = IncrementalLP(n, np.ones(n))
+    by_block = IncrementalLP(n, np.ones(n))
+    for cols, vals, rhs in head:
+        by_row.add_sparse_constraint(list(zip(cols.tolist(), vals)), rhs)
+        by_block.add_sparse_constraint(list(zip(cols.tolist(), vals)), rhs)
+    for cols, vals, rhs in block:
+        by_row.add_sparse_constraint(list(zip(cols.tolist(), vals)), rhs)
+    indptr = np.cumsum([0] + [len(cols) for cols, _, _ in block])
+    by_block.add_rows(
+        indptr,
+        np.concatenate([cols for cols, _, _ in block]),
+        np.concatenate([vals for _, vals, _ in block]),
+        [rhs for _, _, rhs in block],
+    )
+    assert indptr[-1] + 3 > 16  # the block outgrew the initial capacity
+    assert _buffers(by_block) == _buffers(by_row)
+    assert by_block.n_constraints == by_row.n_constraints == 33
+    assert by_block.stats.rows_added == by_row.stats.rows_added == 33
+    res_block = by_block.solve(method="highs")
+    res_row = by_row.solve(method="highs")
+    assert res_block.status == res_row.status
+    if res_row.ok:
+        assert np.array_equal(res_block.x, res_row.x)
+
+
+def test_add_rows_empty_block_is_a_no_op():
+    lp = IncrementalLP(3, np.ones(3))
+    lp.add_constraint([1.0, 0.0, 2.0], 1.0)
+    before = _buffers(lp)
+    lp.add_rows([0], [], [], [])
+    assert _buffers(lp) == before
+    assert lp.n_constraints == 1 and lp.stats.rows_added == 1
+
+
+@pytest.mark.parametrize("bad_column", [-1, 3, 99])
+def test_add_rows_rejects_out_of_range_columns(bad_column):
+    lp = IncrementalLP(3, np.ones(3))
+    lp.add_constraint([1.0, 0.0, 2.0], 1.0)
+    before = _buffers(lp)
+    with pytest.raises(IndexError):
+        lp.add_rows([0, 2, 3], [0, 1, bad_column], [1.0, 2.0, 3.0], [0.0, 1.0])
+    assert _buffers(lp) == before
+    assert lp.n_constraints == 1 and lp.stats.rows_added == 1
+
+
+def test_add_rows_rejects_inconsistent_blocks():
+    lp = IncrementalLP(3, np.ones(3))
+    with pytest.raises(ValueError):
+        lp.add_rows([0, 2], [0, 1], [1.0, 2.0], [0.0, 1.0])  # rhs too long
+    with pytest.raises(ValueError):
+        lp.add_rows([0, 3], [0, 1], [1.0, 2.0], [0.0])  # indptr past indices
+    with pytest.raises(ValueError):
+        lp.add_rows([], [], [], [])  # no indptr at all
+    assert lp.n_constraints == 0
+
+
+@pytest.mark.parametrize("bad_column", [-1, 2])
+def test_dense_sparse_constraint_rejects_out_of_range_columns(bad_column):
+    """The dense twin range-checks like IncrementalLP: -1 must not wrap."""
+    lp = LinearProgram(n_vars=2, c=np.ones(2))
+    with pytest.raises(IndexError):
+        lp.add_sparse_constraint([(bad_column, 2.0)], 1.0)
+    assert lp.n_constraints == 0
+    with pytest.raises(IndexError):
+        IncrementalLP(2, np.ones(2)).add_sparse_constraint([(bad_column, 2.0)], 1.0)
