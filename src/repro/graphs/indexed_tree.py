@@ -211,29 +211,31 @@ class IndexedTree:
         return up
 
     def lca(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Batch lowest common ancestors via binary lifting (vectorized)."""
+        """Batch lowest common ancestors via binary lifting (vectorized).
+
+        Every step is a whole-array gather plus an ``np.where`` select, so
+        no boolean-mask gathers or scatters run per lifting level.
+        """
         up = self._lift_table()
         depth = self.depth
-        u = np.asarray(us, dtype=np.int64).copy()
-        v = np.asarray(vs, dtype=np.int64).copy()
+        u = np.asarray(us, dtype=np.int64)
+        v = np.asarray(vs, dtype=np.int64)
+        du, dv = depth[u], depth[v]
         # Lift the deeper endpoint up to the shallower one's depth.
-        swap = depth[u] < depth[v]
-        u[swap], v[swap] = v[swap], u[swap]
-        diff = depth[u] - depth[v]
-        for j in range(up.shape[0]):
-            sel = (diff >> j) & 1 == 1
-            if sel.any():
-                u[sel] = up[j][u[sel]]
-        out = np.where(u == v, u, -1)
-        active = out < 0
-        ua, va = u[active], v[active]
+        swap = du < dv
+        u, v = np.where(swap, v, u), np.where(swap, u, v)
+        diff = np.abs(du - dv)
+        del du, dv, swap
+        for j in range(int(diff.max()).bit_length() if len(diff) else 0):
+            u = np.where((diff >> j) & 1 == 1, up[j][u], u)
+        del diff
         for j in range(up.shape[0] - 1, -1, -1):
             upj = up[j]
-            differs = upj[ua] != upj[va]
-            ua[differs] = upj[ua[differs]]
-            va[differs] = upj[va[differs]]
-        out[active] = self.parent[ua]
-        return out
+            au, av = upj[u], upj[v]
+            differs = au != av
+            u = np.where(differs, au, u)
+            v = np.where(differs, av, v)
+        return np.where(u == v, u, self.parent[u])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

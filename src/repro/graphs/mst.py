@@ -62,23 +62,38 @@ def kruskal_mst_ids(ig) -> np.ndarray:
     order there) and plain numeric order for ``IndexedGraph.from_arrays``
     graphs.  Never materializes edge labels, so it is the MST entry point
     for the memory-lean scale tier.
+
+    The tie-broken order is turned into distinct ranks ``1..m`` (exact in
+    float64 below 2^53) and handed to scipy's compiled
+    ``minimum_spanning_tree``.  With distinct weights the MST is unique,
+    so it is exactly the tree Kruskal picks, and its edges sorted by rank
+    are Kruskal's discovery order.  Parallel edges are not supported
+    (``from_arrays`` rejects them when validating): the sparse matrix
+    would merge them.  :func:`kruskal_mst` stays a Python loop: the
+    csgraph call's fixed cost dominates on label-level graphs.
     """
+    # Imported here: csgraph is not otherwise loaded by ``import repro``.
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     n = ig.num_nodes
-    if n == 0:
+    m = ig.num_edges
+    if n <= 1:
         return np.empty(0, dtype=np.int64)
-    order = np.lexsort((ig.edge_v, ig.edge_u, ig.edge_weights))
-    eu = ig.edge_u.tolist()
-    ev = ig.edge_v.tolist()
-    uf = IntUnionFind(n)
-    tree: List[int] = []
-    for i in order.tolist():
-        if uf.union(eu[i], ev[i]):
-            tree.append(i)
-            if len(tree) == n - 1:
-                break
-    if len(tree) != n - 1:
+    w = ig.edge_weights
+    order = np.argsort(w)
+    if not bool((np.diff(w[order]) > 0).all()):
+        # Ties (or NaN): only the full ``(weight, u, v)`` key fixes the order.
+        order = np.lexsort((ig.edge_v, ig.edge_u, w))
+    rank = np.empty(m, dtype=np.float64)
+    rank[order] = np.arange(1, m + 1, dtype=np.float64)
+    tree = minimum_spanning_tree(
+        sp.csr_matrix((rank, (ig.edge_u, ig.edge_v)), shape=(n, n)),
+        overwrite=True,
+    )
+    if tree.nnz != n - 1:
         raise ValueError("graph is disconnected; no spanning tree exists")
-    return np.asarray(tree, dtype=np.int64)
+    return order[np.sort(tree.data).astype(np.int64) - 1]
 
 
 def prim_mst(graph: Graph, start: Node | None = None) -> List[Edge]:

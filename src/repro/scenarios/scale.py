@@ -188,24 +188,27 @@ def _power_law_arrays(
     ev: List[int] = []
     ew: List[float] = []
     draw = jitter > 0.0
+    # Bound methods as locals: same draws in the same order, less lookup.
+    random, integers, uniform = rng.random, rng.integers, rng.uniform
+    lo_w, hi_w = 1.0 - jitter, 1.0 + jitter
+    push = endpoints.append
     for v in range(m, n):
         if endpoints:
             chosen: set = set()
             while len(chosen) < min(m, v):
-                if rng.random() < 0.9:
-                    u = endpoints[int(rng.integers(len(endpoints)))]
+                if random() < 0.9:
+                    u = endpoints[int(integers(len(endpoints)))]
                 else:
-                    u = int(rng.integers(v))
+                    u = int(integers(v))
                 chosen.add(u)
         else:
             chosen = set(range(v))
         for u in sorted(chosen):
             eu.append(v)
             ev.append(u)
-            ew.append(
-                float(rng.uniform(1.0 - jitter, 1.0 + jitter)) if draw else 1.0
-            )
-            endpoints += [v, u]
+            ew.append(uniform(lo_w, hi_w) if draw else 1.0)
+            push(v)
+            push(u)
     return (
         n,
         np.asarray(eu, dtype=np.int64),

@@ -652,11 +652,15 @@ def solve_sne_greedy_indexed(
     # and follows v's tree path; the shared suffix above lca(u, v)
     # cancels (Lemma 2).
     nontree = np.flatnonzero(~tree.is_tree_edge)
-    U = np.concatenate([ig.edge_u[nontree], ig.edge_v[nontree]]).astype(np.int64)
-    V = np.concatenate([ig.edge_v[nontree], ig.edge_u[nontree]]).astype(np.int64)
+    nu, nv = ig.edge_u[nontree], ig.edge_v[nontree]
+    U = np.concatenate([nu, nv]).astype(np.int64)
+    V = np.concatenate([nv, nu]).astype(np.int64)
     Wc = np.concatenate([w[nontree], w[nontree]])
     keep = (U != root) & (mult[U] > 0)
-    L = tree.lca(U, V) if len(U) else np.empty(0, dtype=np.int64)
+    # lca is symmetric: solve each non-tree edge once, reuse for both rows.
+    L = tree.lca(nu, nv)
+    L = np.concatenate([L, L])
+    del nu, nv
 
     # Row constants at b = 0 (rows are fixed linear constraints; their
     # deficits don't move as subsidies grow).

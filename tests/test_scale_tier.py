@@ -28,9 +28,9 @@ from repro.games.directed import DirectedNetworkDesignGame
 from repro.games.game import NetworkDesignGame
 from repro.games.multicast import MulticastGame
 from repro.games.weighted import WeightedNetworkDesignGame
-from repro.graphs.core import IndexedGraph
+from repro.graphs.core import IndexedGraph, IntUnionFind
 from repro.graphs.generators import random_tree_plus_chords
-from repro.graphs.graph import canonical_edge
+from repro.graphs.graph import Graph, canonical_edge
 from repro.graphs.indexed_tree import IndexedTree
 from repro.graphs.mst import kruskal_mst, kruskal_mst_ids
 from repro.graphs.tree import RootedTree
@@ -151,6 +151,33 @@ class TestFromArrays:
         with pytest.raises(ValueError, match="duplicate"):
             IndexedGraph.from_arrays(2, [0, 1], [1, 0], [1.0, 2.0])
 
+    @staticmethod
+    def _graph_error(weight):
+        with pytest.raises(ValueError) as exc:
+            Graph().add_edge(0, 1, weight)
+        return str(exc.value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_rejects_weights_graph_rejects(self, bad):
+        weights = [1.0, bad, 2.0, 1.0]
+        with pytest.raises(ValueError) as exc:
+            IndexedGraph.from_arrays(4, [0, 1, 2, 3], [1, 2, 3, 0], weights)
+        assert str(exc.value) == self._graph_error(bad)
+
+    def test_first_bad_weight_names_the_error(self):
+        with pytest.raises(ValueError, match="nonnegative, got -2.5"):
+            IndexedGraph.from_arrays(3, [0, 1, 2], [1, 2, 0], [1.0, -2.5, float("nan")])
+
+    @pytest.mark.parametrize("ok", [-0.0, 0.0, float("inf")])
+    def test_accepts_weights_graph_accepts(self, ok):
+        Graph().add_edge(0, 1, ok)
+        ig = IndexedGraph.from_arrays(3, [0, 1, 2], [1, 2, 0], [1.0, ok, 1.0])
+        assert ig.edge_weights[1] == ok
+
+    def test_unvalidated_arrays_skip_weight_checks(self):
+        ig = IndexedGraph.from_arrays(2, [0], [1], [float("nan")], validate=False)
+        assert np.isnan(ig.edge_weights[0])
+
     def test_dijkstra_agrees_with_interned_snapshot(self):
         g = random_tree_plus_chords(30, 15, seed=5, chord_factor=1.2)
         ig_legacy = g.to_indexed()
@@ -169,6 +196,48 @@ class TestFromArrays:
         assert {i: d_new[i] for i in range(30)} == pytest.approx(by_label_legacy)
 
 
+def _kruskal_ids_reference(ig):
+    """Union-find Kruskal over the ``(weight, u, v)`` lexsort, edge by edge."""
+    n = ig.num_nodes
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.lexsort((ig.edge_v, ig.edge_u, ig.edge_weights))
+    eu = ig.edge_u.tolist()
+    ev = ig.edge_v.tolist()
+    uf = IntUnionFind(n)
+    tree = []
+    for i in order.tolist():
+        if uf.union(eu[i], ev[i]):
+            tree.append(i)
+            if len(tree) == n - 1:
+                break
+    if len(tree) != n - 1:
+        raise ValueError("graph is disconnected; no spanning tree exists")
+    return np.asarray(tree, dtype=np.int64)
+
+
+def _shuffled_from_arrays(n, eu, ev, w, seed):
+    """``from_arrays`` with edge ids permuted and endpoints randomly flipped."""
+    rng = ensure_rng(seed)
+    eu, ev, w = np.asarray(eu), np.asarray(ev), np.asarray(w, dtype=np.float64)
+    perm = rng.permutation(len(w))
+    flip = rng.random(len(w)) < 0.5
+    u, v = np.where(flip, ev, eu)[perm], np.where(flip, eu, ev)[perm]
+    return IndexedGraph.from_arrays(n, u, v, w[perm])
+
+
+def _random_small_weight_graph(n, extra, seed):
+    """Connected random graph with weights drawn from {1, 2, 3}."""
+    rng = ensure_rng(seed)
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.add((a, b))
+    eu, ev = zip(*sorted(edges))
+    w = rng.integers(1, 4, size=len(eu)).astype(np.float64)
+    return n, eu, ev, w
+
+
 class TestKruskalIds:
     def test_matches_label_level_kruskal(self):
         g = random_tree_plus_chords(40, 25, seed=9, chord_factor=1.1)
@@ -176,6 +245,54 @@ class TestKruskalIds:
         eids = kruskal_mst_ids(ig)
         labels = {canonical_edge(*ig.edge_labels[e]) for e in eids.tolist()}
         assert labels == {canonical_edge(u, v) for u, v in kruskal_mst(g)}
+
+    @staticmethod
+    def _assert_same(ig):
+        got = kruskal_mst_ids(ig)
+        ref = _kruskal_ids_reference(ig)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize(
+        "name, n, kwargs",
+        [
+            ("lower-bound-cycle", 300, {}),
+            ("grid", 400, {"jitter": 0.0}),
+            ("grid", 400, {}),
+            ("power-law", 300, {}),
+            ("hypercube", 256, {"jitter": 0.0}),
+            ("isp-like", 300, {}),
+        ],
+    )
+    def test_discovery_order_matches_reference(self, name, n, kwargs):
+        for seed in (0, 7):
+            self._assert_same(build_scenario_indexed(name, n=n, seed=seed, **kwargs).ig)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_small_integer_weights(self, seed):
+        n, eu, ev, w = _random_small_weight_graph(60, 90, seed)
+        self._assert_same(IndexedGraph.from_arrays(n, eu, ev, w))
+        self._assert_same(_shuffled_from_arrays(n, eu, ev, w, seed))
+
+    def test_shuffled_edge_ids_under_ties(self):
+        inst = build_scenario_indexed("grid", n=225, seed=1, jitter=0.0)
+        ig = inst.ig
+        self._assert_same(
+            _shuffled_from_arrays(ig.num_nodes, ig.edge_u, ig.edge_v, ig.edge_weights, 4)
+        )
+
+    def test_interned_snapshot_with_ties(self):
+        g = build_scenario("lower-bound-cycle", n=12, seed=0).graph
+        self._assert_same(g.to_indexed())
+
+    def test_single_node_is_empty(self):
+        got = kruskal_mst_ids(IndexedGraph.from_arrays(1, [], [], []))
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    def test_no_edges_raises(self):
+        ig = IndexedGraph.from_arrays(3, [], [], [])
+        with pytest.raises(ValueError, match="disconnected"):
+            kruskal_mst_ids(ig)
 
     def test_disconnected_raises(self):
         ig = IndexedGraph.from_arrays(4, [0, 2], [1, 3], [1.0, 1.0])
@@ -213,6 +330,46 @@ class TestIndexedTree:
         got = itree.lca(us, vs)
         for a, b, l in zip(us.tolist(), vs.tolist(), got.tolist()):
             assert ig.labels[l] == rtree.lca(ig.labels[a], ig.labels[b])
+
+    @pytest.mark.parametrize("shape", ["path", "fork"])
+    def test_deep_lca_matches_parent_walk(self, shape):
+        # "path": 3,000 nodes in a line from the root (height 2,999, every
+        # lifting level used).  "fork": two 1,500-node lines that meet at
+        # depth 50, so the descent phase needs the top (1,024) level.
+        n = 3_000
+        rng = ensure_rng(11)
+        label = rng.permutation(n)  # position -> node id, so ids are scrambled
+        parent_pos = np.arange(-1, n - 1)
+        if shape == "fork":
+            parent_pos[1_500] = 50
+        ig = IndexedGraph.from_arrays(
+            n, label[parent_pos[1:]], label[1:], np.ones(n - 1)
+        )
+        root = int(label[0])
+        tree = IndexedTree(ig, root, np.arange(n - 1))
+        assert tree.height == (n - 1 if shape == "path" else 1_550)
+        assert tree._lift_table().shape[0] == tree.height.bit_length()
+
+        def naive(a, b):
+            while tree.depth[a] > tree.depth[b]:
+                a = int(tree.parent[a])
+            while tree.depth[b] > tree.depth[a]:
+                b = int(tree.parent[b])
+            while a != b:
+                a, b = int(tree.parent[a]), int(tree.parent[b])
+            return a
+
+        nodes = rng.integers(0, n, size=40).tolist()
+        pairs = [(root, root), (int(label[-1]), root), (int(label[1_499]), int(label[-1]))]
+        for x in nodes:
+            pairs += [(x, x), (x, int(tree.parent[x])), (x, root)]
+        pairs += list(zip(rng.integers(0, n, size=40).tolist(), nodes))
+        us = np.array([a for a, _ in pairs], dtype=np.int32)
+        vs = np.array([b for _, b in pairs], dtype=np.int32)
+        expect = [naive(a, b) for a, b in pairs]
+        assert tree.lca(us, vs).tolist() == expect
+        assert tree.lca(vs, us).tolist() == expect
+        assert tree.lca(us[:0], vs[:0]).shape == (0,)
 
     def test_prefix_sums_match_root_paths(self, tree_pair):
         g, ig, itree, rtree = tree_pair
@@ -374,6 +531,37 @@ class TestIndexedGreedy:
         assert res.anytime is not None and res.anytime.iterates
         assert 0.0 <= res.certificate.lower_bound <= res.cost + 1e-9
         assert res.num_incidences > 0
+
+    # Outputs of the per-incidence (unhalved) LCA and union-find Kruskal
+    # kernels: the vectorized kernels must reproduce them.
+    @pytest.mark.parametrize(
+        "name, n, seed, cost, lower_bound, rounds, incidences, subsidized",
+        [
+            ("grid", 400, 3, 311.7856174776575, 17.488479728800925, 2, 722, 351),
+            ("power-law", 300, 5, 137.8414600775675, 4.298284497116743, 3, 576, 178),
+            ("augmented-cube", 256, 2, 182.82376632138406, 12.188561077629078, 1, 3317, 232),
+            ("hypercube", 128, 4, 96.75362894989487, 7.258465925901575, 1, 637, 115),
+        ],
+    )
+    def test_pinned_results(
+        self, name, n, seed, cost, lower_bound, rounds, incidences, subsidized
+    ):
+        inst = build_scenario_indexed(name, n=n, seed=seed)
+        res = solve_sne_greedy_indexed(inst.ig, inst.root)
+        assert res.cost == pytest.approx(cost, rel=1e-12)
+        assert res.certificate.lower_bound == pytest.approx(lower_bound, rel=1e-12)
+        assert (res.rounds, res.num_incidences) == (rounds, incidences)
+        assert int(np.count_nonzero(res.subsidy_vector)) == subsidized
+
+    def test_tree_only_instance_needs_no_subsidy(self):
+        n = 50
+        rng = ensure_rng(8)
+        parents = [int(rng.integers(v)) for v in range(1, n)]
+        ig = IndexedGraph.from_arrays(n, parents, range(1, n), rng.uniform(0.5, 2.0, n - 1))
+        res = solve_sne_greedy_indexed(ig, 0)
+        assert res.verified and res.feasible
+        assert res.cost == 0.0 and res.num_incidences == 0
+        assert not res.subsidy_vector.any()
 
     def test_deadline_bailout_is_always_feasible(self):
         inst = build_scenario_indexed("power-law", n=500, seed=6)
