@@ -193,10 +193,12 @@ def _report_from_sne(
     description="LP (3): one row per non-tree incidence (Lemma 2; broadcast)",
     broadcast_only=True,
     requires_tree_state=True,
-    # version 2: LP backend registry — `method` accepts any backend
+    # version 3: HiGHS runs without presolve (an answer can move to another
+    # optimal vertex at equal budget) and LP (3) solves through the session
+    # (version 2: LP backend registry — `method` accepts any backend
     # name/alias, the backend joins the metadata, and certify=True attaches
-    # an exact rational certificate
-    version="2",
+    # an exact rational certificate)
+    version="3",
 )
 def solve_sne_lp3(
     instance: AnyInstance,
@@ -219,11 +221,13 @@ def solve_sne_lp3(
     broadcast_only=False,
     requires_tree_state=False,
     aliases=("sne-lp1",),
-    # version 4: LP backend registry — backend name joined the metadata,
-    # certify=True exact-certifies the final cutting-plane relaxation
-    # (version 3: warm-started incremental cutting planes + batched
+    # version 5: HiGHS runs without presolve (an answer can move to another
+    # optimal vertex at equal budget); all-terminal multicast targets the MST
+    # (version 4: LP backend registry — backend name joined the metadata,
+    # certify=True exact-certifies the final cutting-plane relaxation;
+    # version 3: warm-started incremental cutting planes + batched
     # separation oracle, and profile counters joined the report metadata)
-    version="4",
+    version="5",
 )
 def solve_sne_cutting_plane(
     instance: AnyInstance,
@@ -253,10 +257,12 @@ def solve_sne_cutting_plane(
     broadcast_only=False,
     requires_tree_state=False,
     aliases=("sne-lp2",),
-    # version 4: LP backend registry — backend name joined the metadata,
-    # certify=True exact-certifies the full LP (2)
-    # (version 3: sparse incremental row construction and profile counters)
-    version="4",
+    # version 5: HiGHS runs without presolve (an answer can move to another
+    # optimal vertex at equal budget); all-terminal multicast targets the MST
+    # (version 4: LP backend registry — backend name joined the metadata,
+    # certify=True exact-certifies the full LP (2);
+    # version 3: sparse incremental row construction and profile counters)
+    version="5",
 )
 def solve_sne_poly(
     instance: AnyInstance,
@@ -321,8 +327,10 @@ def _report_from_approx(
     broadcast_only=False,
     requires_tree_state=False,
     exact=False,
-    # version 2: LP backend registry — backend name joined the metadata
-    version="2",
+    # version 3: HiGHS runs without presolve (an answer can move to another
+    # optimal vertex at equal budget); all-terminal multicast targets the MST
+    # (version 2: LP backend registry — backend name joined the metadata)
+    version="3",
 )
 def solve_approx_greedy(
     instance: AnyInstance,
@@ -359,8 +367,10 @@ def solve_approx_greedy(
     requires_tree_state=False,
     exact=False,  # exact at convergence, but deadline/target-gap stop early
     aliases=("approx-anytime",),
-    # version 2: LP backend registry — backend name joined the metadata
-    version="2",
+    # version 3: HiGHS runs without presolve (an answer can move to another
+    # optimal vertex at equal budget); all-terminal multicast targets the MST
+    # (version 2: LP backend registry — backend name joined the metadata)
+    version="3",
 )
 def solve_approx_primal_dual(
     instance: AnyInstance,
@@ -465,7 +475,9 @@ def _report_from_aon(
     description="all-or-nothing SNE: exact branch & bound over edge funding",
     broadcast_only=True,
     requires_tree_state=True,
-    version="1",
+    # version 2: HiGHS runs without presolve (an answer can move to another
+    # optimal vertex at equal budget)
+    version="2",
 )
 def solve_aon_exact(
     instance: AnyInstance,
@@ -593,7 +605,9 @@ def _default_budget(game: BroadcastGame, budget: Optional[float]) -> float:
     description="SND: exact spanning-tree enumeration under a subsidy budget",
     broadcast_only=True,
     requires_tree_state=False,
-    version="1",
+    # version 2: HiGHS runs without presolve (an answer can move to another
+    # optimal vertex at equal budget)
+    version="2",
 )
 def solve_snd_exact_adapter(
     instance: AnyInstance,
@@ -619,7 +633,9 @@ def solve_snd_exact_adapter(
     requires_tree_state=False,
     exact=False,
     aliases=("snd-heuristic",),
-    version="1",
+    # version 2: HiGHS runs without presolve (an answer can move to another
+    # optimal vertex at equal budget)
+    version="2",
 )
 def solve_snd_local_search(
     instance: AnyInstance,

@@ -3,7 +3,9 @@
 Multicast games (the paper's Section 6 direction) have optimal designs
 that are Steiner trees over the terminal set, the way broadcast games have
 MSTs.  Dreyfus-Wagner runs in ``O(3^k n + 2^k n^2 + n^3)`` for ``k``
-terminals — exact and fast for the experiment-sized instances here.
+terminals — exact and fast for the experiment-sized instances here.  When
+the terminals cover every node the Steiner tree is a spanning tree, so
+the MST answers directly.
 """
 
 from __future__ import annotations
@@ -12,13 +14,16 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.graphs.graph import Edge, Graph, Node, canonical_edge
+from repro.graphs.mst import kruskal_mst
 from repro.graphs.shortest_paths import reconstruct_path
 
 
 def steiner_tree(graph: Graph, terminals: Sequence[Node]) -> Tuple[List[Edge], float]:
     """Exact minimum Steiner tree connecting ``terminals``.
 
-    Returns ``(edges, weight)``.  Handles up to ~12 terminals comfortably.
+    Returns ``(edges, weight)``.  Handles up to ~12 terminals comfortably,
+    and any number that covers every node: the MST (Kruskal's tree, the
+    one broadcast games target) is then a minimum Steiner tree.
     """
     terms = list(dict.fromkeys(terminals))
     for t in terms:
@@ -26,6 +31,14 @@ def steiner_tree(graph: Graph, terminals: Sequence[Node]) -> Tuple[List[Edge], f
             raise KeyError(f"terminal {t!r} not in graph")
     if len(terms) <= 1:
         return [], 0.0
+    if len(terms) == graph.num_nodes:
+        tree = kruskal_mst(graph)
+        return sorted(tree), graph.subset_weight(tree)
+    return _dreyfus_wagner(graph, terms)
+
+
+def _dreyfus_wagner(graph: Graph, terms: List[Node]) -> Tuple[List[Edge], float]:
+    """The Dreyfus-Wagner DP over at least two distinct terminals."""
     # All-pairs shortest paths from each node: one indexed Dijkstra per
     # node over the CSR snapshot, re-keyed to labels for the DP below.
     from repro.graphs.core import dijkstra_indexed
@@ -172,8 +185,6 @@ def steiner_tree_brute_force(
     """Exponential reference: try every subset of non-terminal nodes as
     Steiner points and span each candidate set with an MST.  Used only to
     cross-check Dreyfus-Wagner in tests."""
-    from repro.graphs.mst import kruskal_mst
-
     terms = set(terminals)
     others = [u for u in graph.nodes if u not in terms]
     best_edges: List[Edge] = []

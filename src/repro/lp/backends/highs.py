@@ -14,6 +14,12 @@ store:
   once from scipy's private glue (same library, same options, same
   matrices — bit-identical answers to the public ``linprog`` path), with
   ``linprog`` as the drift-safe fallback.
+
+Every path runs HiGHS with presolve off: on the subsidy LPs it removes
+almost nothing yet costs about half of each LP (2) solve, at unchanged
+dual-simplex iteration counts (``docs/lp-backends.md``, "HiGHS
+configuration").  The public ``linprog`` calls pass the same setting, so
+the cold path, the fallback and the direct path agree bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ _SCIPY_STATUS = {
     3: LPStatus.UNBOUNDED,
 }
 
+#: the HiGHS options of every public ``linprog`` call (see the module docstring)
+_LINPROG_OPTIONS = {"presolve": False}
+
 
 def _capture_highs_direct():
     """Bind HiGHS core handles once, skipping scipy's per-call pipeline.
@@ -41,23 +50,23 @@ def _capture_highs_direct():
     rebuilding solver state.  The cutting-plane loop calls with the same
     (validated, canonical) structures every round, so the fast path feeds
     the HiGHS core directly: one prebuilt ``HighsOptions`` carrying
-    exactly the values scipy's ``method="highs"`` path sets (presolve on,
-    dual simplex strategy, output off), a ``HighsLp`` filled from the CSC
-    buffers, then ``passOptions``/``passModel``/``run``.  Same library,
-    same options, same matrices — bit-identical answers (the benchmark
-    asserts this against the public ``linprog`` path).  Returns ``None``
-    when scipy's private layout changed; callers then fall back to
-    ``linprog``.
+    exactly the values scipy's ``method="highs"`` path sets with
+    ``presolve=False`` (dual simplex strategy, output off), the CSC
+    arrays handed over in one ``passModel`` call, then ``run``.  Same
+    library, same options, same matrices — bit-identical answers
+    (``tests/test_highs_handoff.py`` asserts this against the public
+    ``linprog`` path).  Returns ``None`` when scipy's private layout
+    changed; callers then fall back to ``linprog``.
     """
     try:
         from scipy.optimize import _linprog_highs as glue
-        from scipy.optimize._highspy import _highs_wrapper as wrapper_mod
+        from scipy.optimize._highspy import _core as core
 
-        core = wrapper_mod._h
         options = core.HighsOptions()
         # Exactly the non-default values _highs_wrapper applies for
-        # scipy's method="highs" (everything else it leaves at default).
-        options.presolve = "on"
+        # scipy's method="highs" with presolve=False (everything else it
+        # leaves at default).
+        options.presolve = "off"
         options.highs_debug_level = int(glue.HighsDebugLevel.kHighsDebugLevelNone)
         options.log_to_console = False
         options.output_flag = False
@@ -67,6 +76,8 @@ def _capture_highs_direct():
             "inf": glue.kHighsInf,
             "to_scipy": glue._highs_to_scipy_status_message,
             "options": options,
+            "colwise": int(core.MatrixFormat.kColwise),
+            "minimize": int(core.ObjSense.kMinimize),
         }
     except Exception:  # pragma: no cover - exercised only on scipy drift
         return None
@@ -85,6 +96,7 @@ def solve_dense(problem: LinearProgram, max_iter: int = 20_000) -> LPResult:
         b_ub=b if b.size else None,
         bounds=bounds,
         method="highs",
+        options=_LINPROG_OPTIONS,
     )
     status = _SCIPY_STATUS.get(res.status, LPStatus.INFEASIBLE)
     if status is not LPStatus.OPTIMAL:
@@ -125,6 +137,7 @@ class HighsSession:
             b_ub=np.asarray(inc._rhs, dtype=float) if inc._m else None,
             bounds=bounds,
             method="highs",
+            options=_LINPROG_OPTIONS,
         )
         status = _SCIPY_STATUS.get(res.status, LPStatus.INFEASIBLE)
         if status is not LPStatus.OPTIMAL:
@@ -147,26 +160,33 @@ class HighsSession:
         A = inc.sparse_matrix().tocsc()
         m = inc._m
         n = inc.n_vars
-
-        lp = core.HighsLp()
-        lp.num_col_ = n
-        lp.num_row_ = m
-        lp.a_matrix_.num_col_ = n
-        lp.a_matrix_.num_row_ = m
-        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-        lp.col_cost_ = inc.c
-        lp.col_lower_ = lb
-        lp.col_upper_ = ub
-        lp.row_lower_ = np.full(m, -inf)
-        lp.row_upper_ = np.asarray(inc._rhs, dtype=float)
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
-        lp.a_matrix_.value_ = A.data
+        if A.nnz >= 2**31:
+            raise OverflowError("HiGHS indexes the matrix with 32-bit integers")
 
         highs = core._Highs()
         if highs.passOptions(direct["options"]) == core.HighsStatus.kError:
             raise RuntimeError("HiGHS rejected the prebuilt options")
-        if highs.passModel(lp) == core.HighsStatus.kError:
+        # One call hands the numpy arrays over; filling HighsLp fields
+        # instead copies them element by element.  An empty integrality
+        # array is rejected, so every column is marked continuous.
+        status = highs.passModel(
+            n,
+            m,
+            A.nnz,
+            direct["colwise"],
+            direct["minimize"],
+            0.0,
+            inc.c,
+            lb,
+            ub,
+            np.full(m, -inf),
+            np.asarray(inc._rhs, dtype=float),
+            A.indptr[:-1].astype(np.int32),
+            A.indices.astype(np.int32),
+            A.data,
+            np.zeros(n, dtype=np.int32),
+        )
+        if status == core.HighsStatus.kError:
             raise RuntimeError("HiGHS rejected the model")
         highs.run()
         model_status = highs.getModelStatus()

@@ -38,6 +38,29 @@ from repro.utils.hashing import stable_hash
 
 JSONDict = Dict[str, Any]
 
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` so that readers never see a partial file.
+
+    The text goes to a ``.tmp-*.json`` file in the same directory, which
+    ``os.replace`` then renames over ``path`` (atomic on POSIX).  Entry and
+    result scans skip the ``.tmp-`` names; on any error the temp file is
+    removed and the error re-raised.  Callers serialize with
+    ``json.dumps``, which uses the C encoder (``json.dump`` never does).
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 #: bump when the on-disk entry layout changes (old trees are simply ignored)
 CACHE_SCHEMA_VERSION = 1
 
@@ -150,20 +173,7 @@ class ResultCache:
         """Atomically store ``entry`` under ``key`` (last writer wins)."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(dict(entry), fh)
-                fh.write("\n")
-            os.replace(tmp, path)  # atomic on POSIX: readers never see partial JSON
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(path, json.dumps(dict(entry)) + "\n")
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).is_file()

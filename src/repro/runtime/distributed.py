@@ -78,7 +78,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.runtime.cache import AnyCache, coerce_cache
+from repro.runtime.cache import AnyCache, atomic_write_text, coerce_cache
 from repro.runtime.runner import (
     JobOutcome,
     dump_job_record,
@@ -820,17 +820,15 @@ class SweepCoordinator:
         paths.create()
         for index in misses:
             payload = {"index": index, "payload": self._payload(index)}
-            _atomic_write_json(paths.jobs / f"{index:08d}.json", payload)
+            atomic_write_text(paths.jobs / f"{index:08d}.json", json.dumps(payload))
         # readiness marker last: workers wait for it before scanning jobs/
-        _atomic_write_json(
-            paths.meta,
-            {
-                "kind": "sweep-spool",
-                "total": len(self.jobs),
-                "queued": len(misses),
-                "lease_timeout": self.board.lease_timeout,
-            },
-        )
+        meta = {
+            "kind": "sweep-spool",
+            "total": len(self.jobs),
+            "queued": len(misses),
+            "lease_timeout": self.board.lease_timeout,
+        }
+        atomic_write_text(paths.meta, json.dumps(meta))
 
     def _spool_scan(self) -> None:
         """One poll of the spool: fold new results, steal stale claims."""
@@ -841,7 +839,7 @@ class SweepCoordinator:
             name_index = _index_of_spool_name(path.name)
             if name_index is None:
                 # A worker's in-flight ``.tmp-*.json`` (see
-                # _atomic_write_json): not a result until it is renamed.
+                # atomic_write_text): not a result until it is renamed.
                 continue
             try:
                 data = json.loads(path.read_text())
@@ -975,20 +973,6 @@ def _sidecar_worker(claim: Path) -> Optional[str]:
         return None
 
 
-def _atomic_write_json(path: Path, payload: JSONDict) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 class _SpoolPaths:
     """Directory layout of the shared-filesystem transport."""
 
@@ -1022,6 +1006,9 @@ class _ProtocolError(ValueError):
 
 class _CoordinatorHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body leave as separate segments; with Nagle on, the body
+    # waits for the client's delayed ACK (~40 ms) on a keep-alive socket.
+    disable_nagle_algorithm = True
 
     @property
     def coordinator(self) -> SweepCoordinator:
@@ -1412,9 +1399,9 @@ def _run_worker_spool(
         finally:
             stop.set()
             heartbeat_thread.join(timeout=2.0)
-        _atomic_write_json(
+        atomic_write_text(
             paths.results / f"{index:08d}.json",
-            {"index": index, "worker": worker, "outcome": outcome},
+            json.dumps({"index": index, "worker": worker, "outcome": outcome}),
         )
         summary.completed += 1
         if outcome.get("status") != "ok":

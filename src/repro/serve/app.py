@@ -46,6 +46,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = f"repro-serve/{__version__}"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave as separate segments; with Nagle on, the body
+    # waits for the client's delayed ACK (~40 ms) on a keep-alive socket.
+    disable_nagle_algorithm = True
 
     # The service is attached to the *server* (one per daemon), not the
     # handler (one per connection).

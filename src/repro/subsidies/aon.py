@@ -65,7 +65,10 @@ def solve_aon_sne_exact(
     ``optimal=False``.
     """
     graph = state.game.graph
-    lp, edges = build_broadcast_lp3(state)
+    rows, edges = build_broadcast_lp3(state)
+    # The search re-solves these rows under per-node bounds, which the
+    # sparse program fixes at construction: branch on the dense twin.
+    lp = rows.to_linear_program()
     weights = np.array([graph.weight(*e) for e in edges])
     n = len(edges)
     base_lower = lp.lower.copy()

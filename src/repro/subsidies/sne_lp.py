@@ -130,8 +130,8 @@ def _verify_with_binding(
 # ---------------------------------------------------------------------------
 
 
-def build_broadcast_lp3(state: TreeState) -> Tuple[LinearProgram, List[Edge]]:
-    """Materialize LP (3) for a broadcast tree state.
+def build_broadcast_lp3(state: TreeState) -> Tuple[IncrementalLP, List[Edge]]:
+    """Materialize LP (3) for a broadcast tree state, as sparse rows.
 
     Variables: one subsidy per tree edge (in the returned edge order).  For
     every node ``u`` and graph neighbor ``v`` with ``(u, v)`` not in ``T``
@@ -139,7 +139,13 @@ def build_broadcast_lp3(state: TreeState) -> Tuple[LinearProgram, List[Edge]]:
     ``(u, v)`` and then ``T_v``; the common suffix above ``lca(u, v)``
     cancels (as in the Lemma 2 proof), so rows only involve the disjoint
     subpaths.  Exposed separately because the all-or-nothing branch-and-bound
-    reuses the same rows with tightened variable bounds.
+    reuses the same rows (through the dense twin,
+    :meth:`~repro.lp.incremental.IncrementalLP.to_linear_program`) with
+    tightened variable bounds.
+
+    The rows are collected in CSR form and appended with one
+    :meth:`~repro.lp.incremental.IncrementalLP.add_rows` call, giving the
+    same buffers as appending them one ``add_sparse_constraint`` at a time.
     """
     game = state.game
     graph = game.graph
@@ -150,8 +156,12 @@ def build_broadcast_lp3(state: TreeState) -> Tuple[LinearProgram, List[Edge]]:
 
     c = np.ones(n_vars)
     upper = np.array([graph.weight(*e) for e in edges])
-    lp = LinearProgram(n_vars=n_vars, c=c, upper=upper)
+    lp = IncrementalLP(n_vars, c=c, upper=upper)
 
+    indptr = [0]
+    indices: List[int] = []
+    data: List[float] = []
+    bounds: List[float] = []
     tree_edge_set = set(edges)
     for u in graph.nodes:
         if u == game.root:
@@ -180,9 +190,16 @@ def build_broadcast_lp3(state: TreeState) -> Tuple[LinearProgram, List[Edge]]:
                 coeffs[index[e]] = coeffs.get(index[e], 0.0) + 1.0 / n_a
                 rhs += graph.weight(*e) / n_a
                 x = tree.parent[x]
+            # The two subpaths are edge-disjoint, so no coefficient sums
+            # to zero and the row is exactly the sorted dict.
             if coeffs:
-                lp.add_sparse_constraint(list(coeffs.items()), rhs)
+                cols = sorted(coeffs)
+                indices.extend(cols)
+                data.extend(coeffs[i] for i in cols)
+                indptr.append(len(indices))
+                bounds.append(rhs)
 
+    lp.add_rows(indptr, indices, data, bounds)
     return lp, edges
 
 
@@ -196,7 +213,7 @@ def solve_sne_broadcast_lp3(
     graph = state.game.graph
     backend = get_backend(method).name
     lp, edges = build_broadcast_lp3(state)
-    res = solve_lp(lp, method=method)
+    res = lp.solve(method=method)
     if res.status is not LPStatus.OPTIMAL:
         cert = _certify_lp(lp, "lp3", None) if certify else None
         return _infeasible(graph, "lp3", backend=backend, certificate=cert)

@@ -9,6 +9,7 @@ a worker SIGKILLed mid-lease, and a duplicate completion of a stolen job.
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -502,6 +503,26 @@ class TestStatsEndpoint:
             client.close()
             coordinator.folder.close()
             coordinator.close()
+
+    def test_keep_alive_round_trips_do_not_stall(self):
+        """Headers and body leave as separate segments; with Nagle on, a
+        keep-alive response waits ~40 ms for the client's delayed ACK."""
+        coordinator = SweepCoordinator(small_spec().expand(), cache=False)
+        host, port = coordinator.serve("127.0.0.1", 0)
+        client = CoordinatorClient(host, port)
+        try:
+            client.wait_ready()
+            client.heartbeat("w0")
+            times = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                client.heartbeat("w0")
+                times.append(time.perf_counter() - t0)
+        finally:
+            client.close()
+            coordinator.folder.close()
+            coordinator.close()
+        assert statistics.median(times) < 0.015, times
 
     def test_cells_fold_welford_stats(self, tmp_path):
         out = tmp_path / "cells.json"

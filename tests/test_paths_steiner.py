@@ -1,14 +1,20 @@
 """Tests for simple-path enumeration and the Steiner tree substrate."""
 
+import time
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import api
+from repro.games.base import to_broadcast
 from repro.graphs import Graph
 from repro.graphs.generators import complete_graph, cycle_graph, grid_graph, random_connected_gnp
 from repro.graphs.paths import count_simple_paths, enumerate_simple_paths
-from repro.graphs.steiner import steiner_tree, steiner_tree_brute_force
+from repro.graphs.mst import kruskal_mst
+from repro.graphs.steiner import _dreyfus_wagner, steiner_tree, steiner_tree_brute_force
 from repro.graphs.unionfind import UnionFind
+from repro.scenarios import build_scenario
 
 
 class TestSimplePaths:
@@ -106,8 +112,41 @@ class TestSteiner:
         assert w_dw == pytest.approx(w_bf, abs=1e-9)
 
     def test_all_nodes_terminals_gives_mst(self):
-        from repro.graphs.mst import kruskal_mst
-
         g = random_connected_gnp(7, 0.5, seed=3)
         _, w = steiner_tree(g, g.nodes)
         assert w == pytest.approx(g.subset_weight(kruskal_mst(g)))
+
+
+class TestSteinerAllTerminals:
+    """Terminals covering every node take the MST instead of the DP."""
+
+    @pytest.mark.parametrize("n,seed", [(5, 0), (7, 1), (9, 2), (10, 3), (11, 4)])
+    def test_dp_and_mst_agree_on_unique_weights(self, n, seed):
+        g = random_connected_gnp(n, 0.45, seed=seed)
+        weights = [w for _u, _v, w in g.edges()]
+        assert len(set(weights)) == len(weights)  # the MST is unique
+        dp_edges, dp_weight = _dreyfus_wagner(g, list(g.nodes))
+        edges, weight = steiner_tree(g, g.nodes)
+        assert set(edges) == set(dp_edges) == set(kruskal_mst(g))
+        assert weight == pytest.approx(dp_weight, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 7, 11])
+    def test_equal_weight_on_tied_lower_bound_cycle(self, n):
+        game = build_scenario("lower-bound-cycle", n=n, seed=0, game="multicast")
+        terminals = [game.root, *game.terminals]
+        _, dp_weight = _dreyfus_wagner(game.graph, terminals)
+        _, weight = steiner_tree(game.graph, terminals)
+        assert weight == pytest.approx(dp_weight, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["grid", "lower-bound-cycle", "augmented-cube"])
+    def test_multicast_target_is_the_broadcast_mst(self, name):
+        game = build_scenario(name, n=16, seed=1, game="multicast")
+        target = set(game.default_state().established_edges())
+        assert target == set(to_broadcast(game).mst_state().edges)
+
+    def test_n40_solves_quickly(self):
+        game = build_scenario("grid", n=40, seed=2, game="multicast")
+        t0 = time.perf_counter()
+        report = api.solve(game, "sne-lp1")
+        assert time.perf_counter() - t0 < 1.0
+        assert report.verified

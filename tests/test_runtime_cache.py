@@ -90,6 +90,14 @@ class TestResultCache:
         assert ("ab" * 32) in cache
         assert len(cache) == 1
 
+    def test_entry_bytes_are_json_dumps_plus_newline(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ef" * 32
+        entry = {"status": "ok", "report": {"x": [1.5, 0.1 + 0.2], "s": "é"}}
+        cache.put(key, entry)
+        assert cache.path_for(key).read_bytes() == (json.dumps(entry) + "\n").encode()
+        assert [p.name for p in cache.path_for(key).parent.iterdir()] == [f"{key}.json"]
+
     def test_sharded_layout(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "cd" * 32

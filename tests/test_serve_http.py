@@ -1,7 +1,9 @@
 """The HTTP front end: byte-identity with the CLI, concurrency, admission."""
 
 import json
+import statistics
 import threading
+import time
 from contextlib import contextmanager
 from http.client import HTTPConnection
 
@@ -160,6 +162,22 @@ class TestCacheHitsViaStats:
             assert first == again
             assert after["result_cache_hits"] == before.get("result_cache_hits", 0) + 1
             assert after["solves"] == before["solves"]  # no recompute
+
+
+class TestKeepAliveLatency:
+    def test_cache_hit_round_trips_do_not_stall(self, tmp_path):
+        """Headers and body leave as separate segments; with Nagle on, a
+        keep-alive response waits ~40 ms for the client's delayed ACK."""
+        instance = _family_zoo()["broadcast"]
+        with serve(ServeConfig(cache=tmp_path)) as (_port, client, _service):
+            client.solve_raw(instance, SOLVER)
+            times = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                _body, status = client.solve_raw(instance, SOLVER)
+                times.append(time.perf_counter() - t0)
+                assert status == 200
+        assert statistics.median(times) < 0.015, times
 
 
 class TestAdmissionControlHTTP:

@@ -1,5 +1,6 @@
 """Tests for the three SNE LP formulations (Theorem 1 / Lemma 2)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,12 +8,16 @@ from repro.bounds.instances import theorem11_cycle_instance, theorem11_optimal_f
 from repro.games import BroadcastGame, NetworkDesignGame, check_equilibrium
 from repro.graphs import Graph
 from repro.graphs.generators import random_connected_gnp, random_tree_plus_chords
+from repro.graphs.graph import canonical_edge
+from repro.lp import LinearProgram, solve_lp
+from repro.scenarios import build_scenario
 from repro.subsidies import (
     solve_sne,
     solve_sne_broadcast_lp3,
     solve_sne_cutting_plane_lp1,
     solve_sne_polynomial_lp2,
 )
+from repro.subsidies.sne_lp import build_broadcast_lp3
 
 
 @pytest.fixture
@@ -71,6 +76,56 @@ class TestLP3:
         game = BroadcastGame(g, root=0, multiplicity={2: 10})
         res = solve_sne_broadcast_lp3(game.tree_state([(0, 1), (1, 2)]))
         assert res.cost == pytest.approx(0.0, abs=1e-9)
+
+
+def _lp3_row_by_row(state):
+    """Reference LP (3): one dense ``add_sparse_constraint`` per incidence."""
+    game, graph, tree = state.game, state.game.graph, state.tree
+    index = {e: i for i, e in enumerate(state.edges)}
+    upper = np.array([graph.weight(*e) for e in state.edges])
+    lp = LinearProgram(n_vars=len(index), c=np.ones(len(index)), upper=upper)
+    for u in graph.nodes:
+        if u == game.root or game.multiplicity.get(u, 1) == 0:
+            continue
+        for v in graph.neighbors(u):
+            if canonical_edge(u, v) in index:
+                continue
+            w = tree.lca(u, v)
+            coeffs, rhs = {}, graph.weight(u, v)
+            for start, extra, sign in ((u, 0, -1.0), (v, 1, 1.0)):
+                x = start
+                while x != w:
+                    e = tree.edge_to_parent(x)
+                    n_a = state.loads[e] + extra
+                    coeffs[index[e]] = coeffs.get(index[e], 0.0) + sign / n_a
+                    rhs += sign * graph.weight(*e) / n_a
+                    x = tree.parent[x]
+            if coeffs:
+                lp.add_sparse_constraint(list(coeffs.items()), rhs)
+    return lp
+
+
+class TestLP3Assembly:
+    @pytest.mark.parametrize("topology", ["grid", "power-law", "augmented-cube"])
+    def test_block_matches_row_by_row_build(self, topology):
+        state = build_scenario(topology, n=48, seed=4).mst_state()
+        lp, _edges = build_broadcast_lp3(state)
+        ref = _lp3_row_by_row(state)
+        A, b = lp.matrices()
+        A_ref, b_ref = ref.matrices()
+        assert A.tobytes() == A_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+        assert lp.upper.tobytes() == ref.upper.tobytes()
+        # the session answer is the cold dense solve's, bit for bit
+        x = lp.solve("highs").x
+        assert x.tobytes() == solve_lp(ref, "highs").x.tobytes()
+
+    def test_multiplicity_rows_match(self):
+        g = random_tree_plus_chords(12, 8, seed=2)
+        game = BroadcastGame(g, root=0, multiplicity={3: 4, 5: 0})
+        state = game.mst_state()
+        A, b = build_broadcast_lp3(state)[0].matrices()
+        A_ref, b_ref = _lp3_row_by_row(state).matrices()
+        assert A.tobytes() == A_ref.tobytes() and b.tobytes() == b_ref.tobytes()
 
 
 class TestLP1CuttingPlanes:
