@@ -174,27 +174,18 @@ def _augmented_cube_graph(
 def _power_law_graph(
     n: int, rng: np.random.Generator, m: int = 2, jitter: float = 0.5
 ) -> Graph:
-    """Barabasi-Albert preferential attachment with ``m`` links per node."""
-    check_positive_int(n, "n")
-    m = max(1, min(int(m), n - 1)) if n > 1 else 1
+    """Barabasi-Albert preferential attachment with ``m`` links per node.
+
+    A label view over the scale tier's kernel: node 0 first, then the
+    kernel's edges in order.
+    """
+    from repro.scenarios.scale import _power_law_arrays
+
+    _, eu, ev, ew = _power_law_arrays(n, rng, m=m, jitter=jitter)
     g = Graph()
     g.add_node(0)
-    endpoints: List[int] = []  # degree-proportional sampling pool
-    for v in range(m, n):
-        if endpoints:
-            chosen: set = set()
-            # mix uniform picks in so early nodes cannot monopolize forever
-            while len(chosen) < min(m, v):
-                if rng.random() < 0.9:
-                    u = endpoints[int(rng.integers(len(endpoints)))]
-                else:
-                    u = int(rng.integers(v))
-                chosen.add(u)
-        else:
-            chosen = set(range(v))  # first arrival wires the seed clique
-        for u in sorted(chosen):
-            g.add_edge(v, u, _jittered(rng, jitter))
-            endpoints += [v, u]
+    for v, u, w in zip(eu.tolist(), ev.tolist(), ew.tolist()):
+        g.add_edge(v, u, w)
     return g
 
 

@@ -4,6 +4,9 @@ Covers the anytime/approximate subsidy stack end to end:
 
 * the array-native scenario builders reproduce the legacy ``Graph``
   builders draw for draw (label-level ``(u, v, w)`` triples identical);
+* the power-law replay over bulk ``PCG64`` output equals the scalar
+  preferential-attachment loop, arrays and generator state alike;
+* the CSR arc order is the ``lexsort`` order of ``(tail, head)``;
 * :class:`~repro.graphs.indexed_tree.IndexedTree` agrees with the
   dict-based :class:`~repro.graphs.tree.RootedTree` on depths, LCAs,
   subtree loads and root-path prefix sums;
@@ -16,10 +19,12 @@ Covers the anytime/approximate subsidy stack end to end:
   ``engine_*`` / ``anytime_*`` daemon counters.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.cli import main
@@ -35,6 +40,7 @@ from repro.graphs.indexed_tree import IndexedTree
 from repro.graphs.mst import kruskal_mst, kruskal_mst_ids
 from repro.graphs.tree import RootedTree
 from repro.scenarios import build_scenario, build_scenario_indexed
+from repro.scenarios.scale import _attach_loop, _attach_replay, _power_law_arrays
 from repro.subsidies import (
     SubsidyAssignment,
     lagrangian_lower_bound,
@@ -128,6 +134,139 @@ class TestIndexedBuildersMatchLegacy:
 
 
 # ---------------------------------------------------------------------------
+# power-law: the PCG64 replay == the scalar preferential-attachment loop
+# ---------------------------------------------------------------------------
+
+
+def _attach_pair(n, seed, m, jitter, carry):
+    """Run the scalar loop and the replay on twin generators."""
+    m = max(1, min(m, n - 1)) if n > 1 else 1
+    a, b = ensure_rng(seed), ensure_rng(seed)
+    if carry:
+        # An odd number of 32-bit draws leaves PCG64's high half pending.
+        a.integers(1000, size=carry)
+        b.integers(1000, size=carry)
+    return a, _attach_loop(n, a, m, jitter), b, _attach_replay(n, b, m, jitter)
+
+
+def _assert_same_draws(a, ref, b, got):
+    for x, y in zip(ref, got):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.random() == b.random()
+    assert a.integers(12345) == b.integers(12345)
+    assert a.uniform(0.5, 1.5) == b.uniform(0.5, 1.5)
+
+
+def _edge_digest(eu, ev, ew):
+    h = hashlib.sha256()
+    for arr, dtype in ((eu, "<i8"), (ev, "<i8"), (ew, "<f8")):
+        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def _game_digest(game):
+    g = game.graph
+    if hasattr(game, "terminals"):
+        draws = list(game.terminals)
+    else:
+        draws = [(p.source, p.target, getattr(p, "demand", None)) for p in game.players]
+    return hashlib.sha256(repr((list(g.nodes), list(g.edges()), draws)).encode()).hexdigest()
+
+
+class TestPowerLawReplay:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 24, 300, 2000])
+    def test_matches_scalar_loop(self, n):
+        case = 0
+        for seed in range(12):
+            for m in (1, 2, 3, 5):
+                for jitter in (0.0, 0.5):
+                    # a third of the cases start with a pending uint32 half
+                    carry = 1 if case % 3 == 0 else 0
+                    case += 1
+                    _assert_same_draws(*_attach_pair(n, seed, m, jitter, carry))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 120),
+        m=st.integers(1, 6),
+        jitter=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+        carry=st.integers(0, 3),
+    )
+    def test_property_matches_scalar_loop(self, n, m, jitter, seed, carry):
+        _assert_same_draws(*_attach_pair(n, seed, m, jitter, carry))
+
+    def test_crosses_raw_blocks(self):
+        # ~5 raw words per node: the doubling blocks reach their 2**16-word
+        # cap at n = 40,000 and the stream crosses capped blocks too.
+        _assert_same_draws(*_attach_pair(40_000, 3, 2, 0.5, 1))
+
+    @pytest.mark.parametrize(
+        "bitgen", [np.random.MT19937, np.random.Philox, np.random.SFC64]
+    )
+    def test_other_bit_generators_run_the_scalar_loop(self, bitgen):
+        a = np.random.Generator(bitgen(7))
+        b = np.random.Generator(bitgen(7))
+        _, *got = _power_law_arrays(300, ensure_rng(a), m=2, jitter=0.5)
+        ref = _attach_loop(300, b, 2, 0.5)
+        for x, y in zip(ref, got):
+            assert x.tobytes() == y.tobytes()
+        np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
+        assert a.random() == b.random()
+
+    # SHA-256 of (edge_u <i8, edge_v <i8, edge_weights <f8) at n = 10^5,
+    # pinned from the scalar loop: the perfbench scale-approx seed
+    # (derive_seed(101, "power-law", 100000)) and bench_scale's seed 1.
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (734150080, "3782103c4a700d39321eae6bf04a0cf7a334aaac362e0c5bac0f812bac8a36f0"),
+            (1, "8bcf32331f702a20005d6ece82bb67eec4c2ed79dcf82fb3dd23b53d6a5ce2e3"),
+        ],
+    )
+    def test_pinned_digests(self, seed, digest):
+        inst = build_scenario_indexed("power-law", n=100_000, seed=seed)
+        ig = inst.ig
+        assert _edge_digest(ig.edge_u, ig.edge_v, ig.edge_weights) == digest
+
+    # SHA-256 of (nodes, edges, game draws), pinned from the scalar loop:
+    # the wrappers draw terminals, demands and pairs after the topology.
+    @pytest.mark.parametrize(
+        "kwargs,n,seed,digest",
+        [
+            (dict(game="multicast", terminals="half"), 40, 5,
+             "6fabe0e1b2021bcbc2e7918e786100c08538d238f14603e6eb13b9bff9e6292a"),
+            (dict(game="multicast", terminals="half"), 200, 17,
+             "efc103f4c4989f59cb302edf75d11ad49472aa1a592168a30262537f6c7ac652"),
+            (dict(game="weighted", demands="random"), 40, 5,
+             "ee84c4543a980ac8cc116b2be04b414a1aa4c7e1b1b2ef4481124af45c09d9e1"),
+            (dict(game="weighted", demands="random"), 200, 17,
+             "8ed3d7a86934294d5b9e9a98412b8ba4d89752599a37739e40a07f8875191170"),
+            (dict(game="general", pairs="random"), 40, 5,
+             "9c4ff3d9905aba9a2dc7849538a5885dfb45dbc08d67837fd9a5e7d1fdd46bd5"),
+            (dict(game="general", pairs="random"), 200, 17,
+             "c5d2e803e669ce69155d0a750ede1167bc38c0fda526483de373e81d0a27cfe9"),
+        ],
+    )
+    def test_label_games_unchanged(self, kwargs, n, seed, digest):
+        game = build_scenario("power-law", n=n, seed=seed, **kwargs)
+        assert _game_digest(game) == digest
+
+    def test_label_view_is_the_kernel_in_order(self):
+        g = build_scenario("power-law", n=60, seed=9, m=3).graph
+        _, eu, ev, ew = _power_law_arrays(60, ensure_rng(9), m=3)
+        arrivals = [x for pair in zip(eu.tolist(), ev.tolist()) for x in pair]
+        assert list(g.nodes) == list(dict.fromkeys([0] + arrivals))
+        assert {canonical_edge(u, v): w for u, v, w in g.edges()} == {
+            canonical_edge(v, u): w
+            for v, u, w in zip(eu.tolist(), ev.tolist(), ew.tolist())
+        }
+        assert all(type(x) is int for u, v, _ in g.edges() for x in (u, v))
+        assert all(type(w) is float for _, _, w in g.edges())
+
+
+# ---------------------------------------------------------------------------
 # IndexedGraph.from_arrays lazy surfaces
 # ---------------------------------------------------------------------------
 
@@ -194,6 +333,97 @@ class TestFromArrays:
         d_new = dijkstra_indexed(ig_new, 0)[0]
         by_label_legacy = {ig_legacy.labels[i]: d_legacy[i] for i in range(30)}
         assert {i: d_new[i] for i in range(30)} == pytest.approx(by_label_legacy)
+
+
+def _lexsort_csr(n, eu, ev, w):
+    """The CSR arrays by ``np.lexsort((heads, tails))``, arc by arc."""
+    eu, ev = np.asarray(eu, dtype=np.int64), np.asarray(ev, dtype=np.int64)
+    m = len(eu)
+    tails, heads = np.concatenate([eu, ev]), np.concatenate([ev, eu])
+    eids = np.concatenate([np.arange(m), np.arange(m)])
+    order = np.lexsort((heads, tails))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    return indptr, heads[order], eids[order], np.asarray(w, dtype=np.float64)[eids[order]]
+
+
+def _assert_lexsort_csr(ig, n, eu, ev, w):
+    indptr, neighbors, adj_edge, weights = _lexsort_csr(n, eu, ev, w)
+    assert ig.indptr.tolist() == indptr.tolist()
+    assert ig.neighbors.tolist() == neighbors.tolist()
+    assert ig.adj_edge.tolist() == adj_edge.tolist()
+    assert ig.weights.tobytes() == weights.tobytes()
+
+
+def _random_edge_arrays(rng, n, m):
+    """``m`` distinct random edges, shuffled, in random orientation."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pick = rng.choice(len(pairs), size=min(m, len(pairs)), replace=False)
+    eu, ev = [], []
+    for i in pick.tolist():
+        u, v = pairs[i]
+        if rng.random() < 0.5:
+            u, v = v, u
+        eu.append(u)
+        ev.append(v)
+    return eu, ev, rng.uniform(0.5, 2.0, size=len(eu)).tolist()
+
+
+class TestCsrOrder:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs(self, seed):
+        rng = ensure_rng(seed)
+        n = int(rng.integers(2, 40))
+        eu, ev, w = _random_edge_arrays(rng, n, int(rng.integers(1, 3 * n)))
+        _assert_lexsort_csr(IndexedGraph.from_arrays(n, eu, ev, w), n, eu, ev, w)
+        interned = IndexedGraph(range(n), zip(eu, ev, w))
+        # repr-order interning relabels nodes; compare on the interned ids
+        ids = [interned.id_of(u) for u in range(n)]
+        _assert_lexsort_csr(
+            interned, n, [ids[u] for u in eu], [ids[v] for v in ev], w
+        )
+
+    def test_tie_heavy_graphs(self):
+        rng = ensure_rng(4)
+        # a complete graph and a star: every tail carries many arcs
+        n = 12
+        eu, ev, w = _random_edge_arrays(rng, n, n * n)
+        _assert_lexsort_csr(IndexedGraph.from_arrays(n, eu, ev, w), n, eu, ev, w)
+        star_u = [0] * (n - 1) + list(range(1, n))
+        star_v = list(range(1, n)) + list(range(2, n)) + [1]
+        w = [1.0] * len(star_u)
+        _assert_lexsort_csr(
+            IndexedGraph.from_arrays(n, star_u, star_v, w), n, star_u, star_v, w
+        )
+
+    def test_unvalidated_duplicates_keep_arc_order(self):
+        # Equal (tail, head) keys must stay in arc order: a stable sort.
+        eu = [0, 1, 2, 0, 0, 1, 2]
+        ev = [1, 0, 0, 1, 2, 0, 0]
+        w = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        ig = IndexedGraph.from_arrays(3, eu, ev, w, validate=False)
+        _assert_lexsort_csr(ig, 3, eu, ev, w)
+        assert ig.adj_edge[: ig.indptr[1]].tolist() == [0, 3, 1, 5, 4, 2, 6]
+
+    @pytest.mark.parametrize(
+        "n,eu,ev,message",
+        [
+            (3, [0, 1, 2], [1, 2, 0], None),
+            (3, [0, 1, 2, 1], [1, 2, 0, 0], "duplicate edge"),
+            (5, [0, 1, 2, 3, 4, 2], [1, 2, 3, 4, 0, 1], "duplicate edge"),
+            (3, [0, 1, 1], [1, 1, 0], "self-loop edge"),
+            (3, [0, 1, 0], [1, 3, 1], "edge endpoint out of range"),
+            (3, [0, -1], [1, 2], "edge endpoint out of range"),
+        ],
+    )
+    def test_validation_messages(self, n, eu, ev, message):
+        w = [1.0] * len(eu)
+        if message is None:
+            IndexedGraph.from_arrays(n, eu, ev, w)
+            return
+        with pytest.raises(ValueError) as exc:
+            IndexedGraph.from_arrays(n, eu, ev, w)
+        assert str(exc.value) == message
 
 
 def _kruskal_ids_reference(ig):
