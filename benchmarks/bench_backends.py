@@ -24,7 +24,6 @@ armed by ``REPRO_BENCH_BACKENDS=1`` or any quiet machine.  Each armed
 run appends a record to ``BENCH_backends.json`` at the repo root.
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -35,6 +34,8 @@ from repro.api import solve
 from repro.games.broadcast import BroadcastGame
 from repro.graphs.generators import random_tree_plus_chords
 from repro.lp import get_backend, list_backends
+
+from _trajectory import append_trajectory
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY = REPO_ROOT / "BENCH_backends.json"
@@ -116,7 +117,8 @@ def test_backend_relative_costs(game):
     t_certify = time.perf_counter() - t0
     assert certified.metadata["exact_certificate"]["status"] == "OPTIMAL"
 
-    _append_trajectory(
+    append_trajectory(
+        TRAJECTORY,
         {
             "bench": "backends",
             "timestamp": time.time(),
@@ -139,14 +141,3 @@ def test_backend_relative_costs(game):
         )
 
 
-def _append_trajectory(entry: dict) -> None:
-    history = []
-    if TRAJECTORY.exists():
-        try:
-            history = json.loads(TRAJECTORY.read_text())
-        except json.JSONDecodeError:
-            history = []
-        if not isinstance(history, list):
-            history = [history]
-    history.append(entry)
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")

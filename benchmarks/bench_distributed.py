@@ -19,7 +19,6 @@ completions over the first-lease -> finish window — so worker-interpreter
 boot time does not pollute the scaling ratio.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -31,6 +30,8 @@ import pytest
 from repro.runtime import SweepRunner, SweepSpec
 from repro.runtime.distributed import STALL_ENV, SweepCoordinator
 from repro.utils.resources import peak_rss_bytes
+
+from _trajectory import append_trajectory
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY = REPO_ROOT / "BENCH_distributed.json"
@@ -116,19 +117,6 @@ def run_distributed(tmp_path, n_workers, lease_timeout=None, kill_stalled=False)
     return result, out.read_bytes()
 
 
-def _append_trajectory(entry):
-    history = []
-    if TRAJECTORY.exists():
-        try:
-            history = json.loads(TRAJECTORY.read_text())
-        except json.JSONDecodeError:
-            history = []
-        if not isinstance(history, list):
-            history = [history]
-    history.append(entry)
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
-
-
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
     """The single-host run: the byte oracle every distributed run must hit."""
@@ -165,7 +153,8 @@ def test_four_workers_with_kill_byte_identical(reference, tmp_path):
     )
     # Recorded here as well as in the gated entry, so the trajectory (and
     # the CI artifact) exists even where the scaling gate skips itself.
-    _append_trajectory(
+    append_trajectory(
+        TRAJECTORY,
         {
             "bench": "distributed-kill",
             "timestamp": time.time(),
@@ -203,7 +192,8 @@ def test_four_workers_scale_jobs_per_second(reference, tmp_path):
         rates[n] = result.jobs_per_second
     ratio = rates[4] / max(rates[1], 1e-9)
 
-    _append_trajectory(
+    append_trajectory(
+        TRAJECTORY,
         {
             "bench": "distributed",
             "timestamp": time.time(),

@@ -41,6 +41,8 @@ from repro.subsidies.sne_lp import (
     solve_sne_polynomial_lp2,
 )
 
+from _trajectory import append_trajectory
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY = REPO_ROOT / "BENCH_lp.json"
 
@@ -101,19 +103,6 @@ def _stripped_report_bytes(report) -> bytes:
     if isinstance(metadata, dict):
         metadata.pop("profile", None)
     return json.dumps(payload, sort_keys=True).encode()
-
-
-def _append_trajectory(entry: dict) -> None:
-    history = []
-    if TRAJECTORY.exists():
-        try:
-            history = json.loads(TRAJECTORY.read_text())
-        except json.JSONDecodeError:
-            history = []
-        if not isinstance(history, list):
-            history = [history]
-    history.append(entry)
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +210,8 @@ def test_lp_warmstart_speedups(lp1_state, lp2_state):
 
     speedup1 = t_cold1 / t_fast1
     speedup2 = t_cold2 / t_fast2
-    _append_trajectory(
+    append_trajectory(
+        TRAJECTORY,
         {
             "bench": "lp_warmstart",
             "timestamp": time.time(),

@@ -27,7 +27,6 @@ the repo root — (timestamp, n, timings, certified gap, anytime
 trajectory, peak RSS) so scaling regressions are visible across commits.
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -38,6 +37,8 @@ from repro.api import solve
 from repro.scenarios import build_scenario, build_scenario_indexed
 from repro.subsidies import solve_sne_greedy_indexed
 from repro.utils.resources import peak_rss_bytes
+
+from _trajectory import append_trajectory
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY = REPO_ROOT / "BENCH_scale.json"
@@ -58,19 +59,6 @@ _SKIP_TIMING = (
 #: scenario families exercised at the gate size (structured mesh, heavy-tail
 #: hubs, two-tier geometric — the three scaling-relevant topologies)
 SCALE_FAMILIES = ("grid", "power-law", "isp-like")
-
-
-def _append_trajectory(entry: dict) -> None:
-    history = []
-    if TRAJECTORY.exists():
-        try:
-            history = json.loads(TRAJECTORY.read_text())
-        except json.JSONDecodeError:
-            history = []
-        if not isinstance(history, list):
-            history = [history]
-    history.append(entry)
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +180,7 @@ def test_scale_gate():
     rss_mb = peak_rss_bytes() / (1024 * 1024)
     entry["total_seconds"] = total
     entry["peak_rss_mb"] = rss_mb
-    _append_trajectory(entry)
+    append_trajectory(TRAJECTORY, entry)
 
     assert total <= SCALE_SECONDS, (
         f"scale tier took {total:.2f}s for {len(SCALE_FAMILIES)} families at "

@@ -40,6 +40,8 @@ from repro.games.weighted import WeightedNetworkDesignGame
 from repro.graphs.generators import random_tree_plus_chords
 from repro.serve import ServeClient, ServeConfig, make_server
 
+from _trajectory import append_trajectory
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY = REPO_ROOT / "BENCH_serve.json"
 
@@ -90,19 +92,6 @@ def daemon(tmp_path_factory):
     client.close()
     server.shutdown()
     server.server_close()
-
-
-def _append_trajectory(entry: dict) -> None:
-    history = []
-    if TRAJECTORY.exists():
-        try:
-            history = json.loads(TRAJECTORY.read_text())
-        except json.JSONDecodeError:
-            history = []
-        if not isinstance(history, list):
-            history = [history]
-    history.append(entry)
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def _closed_loop_load(port, instances):
@@ -248,7 +237,8 @@ def test_serve_warm_beats_cold_processes(daemon, tmp_path):
     # After the warmup pass, the timed load should be essentially all hits.
     assert hit_rate >= 0.9, f"timed-phase cache hit rate only {hit_rate:.2%}"
 
-    _append_trajectory(
+    append_trajectory(
+        TRAJECTORY,
         {
             "bench": "serve",
             "timestamp": time.time(),

@@ -6,13 +6,13 @@ module generalizes the executor to a **coordinator/worker** protocol:
 
 * the **coordinator** (:class:`SweepCoordinator`) expands a sweep into a
   job queue, serves it to workers — over a pure-stdlib HTTP/JSON protocol
-  (the :mod:`repro.serve` server idioms) or a shared **spool directory**
-  for filesystem clusters — and folds every arriving outcome *streamingly*
-  into per-grid-cell Welford statistics, the content-addressed
-  :class:`~repro.runtime.cache.ResultCache`, and an incremental
-  ``--json-out`` writer (records spill to a sorted spool; the canonical
-  document is emitted at close), so coordinator memory stays O(cells),
-  never O(reports);
+  (:mod:`repro.net`, the transport the solver daemon also runs on) or a
+  shared **spool directory** for filesystem clusters — and folds every
+  arriving outcome *streamingly* into per-grid-cell Welford statistics,
+  the content-addressed :class:`~repro.runtime.cache.ResultCache`, and an
+  incremental ``--json-out`` writer (records spill to a sorted spool; the
+  canonical document is emitted at close), so coordinator memory stays
+  O(cells), never O(reports);
 * **workers** (:func:`run_worker`, CLI ``sweep-worker``) pull jobs in
   *leases*, execute them through the same
   :func:`~repro.runtime.workers.run_solve_job` payload path as every other
@@ -74,10 +74,10 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.net import JSONClient, JSONDict, JSONServer, RequestError, Route
 from repro.runtime.cache import AnyCache, atomic_write_text, coerce_cache
 from repro.runtime.runner import (
     JobOutcome,
@@ -90,7 +90,6 @@ from repro.runtime.runner import (
 from repro.runtime.spec import SweepJob
 from repro.runtime.workers import run_solve_job
 
-JSONDict = Dict[str, Any]
 ProgressFn = Callable[[JobOutcome, int, int], None]
 
 #: default lease duration when neither ``lease_timeout`` nor a per-job
@@ -714,8 +713,7 @@ class SweepCoordinator:
             lease_timeout=self.lease_timeout,
             max_steals=max_steals,
         )
-        self._server: Optional[ThreadingHTTPServer] = None
-        self._server_thread: Optional[threading.Thread] = None
+        self._server: Optional[JSONServer] = None
         self._spool: Optional[_SpoolPaths] = None
         if spool is not None:
             self._spool = _SpoolPaths(Path(spool))
@@ -730,16 +728,43 @@ class SweepCoordinator:
         """
         if self._server is not None:
             raise RuntimeError("coordinator is already serving")
-        server = _CoordinatorHTTPServer((host, port), self)
-        self._server = server
-        self._server_thread = threading.Thread(
-            target=server.serve_forever, name="sweep-coordinator", daemon=True
-        )
-        self._server_thread.start()
-        bound_host, bound_port = server.server_address[:2]
-        return bound_host, bound_port
+        self._server = JSONServer((host, port), self._routes())
+        threading.Thread(
+            target=self._server.serve_forever, name="sweep-coordinator", daemon=True
+        ).start()
+        return self._server.server_address[:2]
 
-    # -- protocol verbs (shared by the HTTP handler and tests) --------------
+    def _routes(self) -> Dict[Tuple[str, str], Route]:
+        def body(payload: JSONDict) -> bytes:
+            return (json.dumps(payload) + "\n").encode("utf-8")
+
+        def verb(call: Callable[[str, JSONDict], JSONDict]) -> Route:
+            def route(data: Optional[JSONDict]) -> bytes:
+                worker = data.get("worker")  # type: ignore[union-attr]
+                if not isinstance(worker, str) or not worker:
+                    raise RequestError(400, "'worker' must be a non-empty string")
+                try:
+                    return body(call(worker, data))
+                except ValueError as exc:
+                    raise RequestError(400, str(exc)) from None
+
+            return route
+
+        return {
+            ("GET", "/healthz"): lambda _: body(
+                {"status": "ok", "role": "sweep-coordinator", "done": self.board.all_done.is_set()}
+            ),
+            ("GET", "/stats"): lambda _: body(self.stats_json()),
+            ("POST", "/lease"): verb(lambda worker, _: self.lease_json(worker)),
+            ("POST", "/heartbeat"): verb(lambda worker, _: self.heartbeat_json(worker)),
+            ("POST", "/complete"): verb(
+                lambda worker, data: self.complete_json(
+                    worker, data.get("lease"), data.get("index"), data.get("outcome")
+                )
+            ),
+        }
+
+    # -- protocol verbs (shared by the HTTP routes and tests) ---------------
 
     def lease_json(self, worker: str) -> JSONDict:
         self._pump()
@@ -948,7 +973,6 @@ class SweepCoordinator:
             self._server.shutdown()
             self._server.server_close()
             self._server = None
-            self._server_thread = None
 
 
 def _index_of_spool_name(name: str) -> Optional[int]:
@@ -991,202 +1015,35 @@ class _SpoolPaths:
 
 
 # ---------------------------------------------------------------------------
-# HTTP plumbing (the repro.serve idioms, sized for the 5-verb protocol)
-# ---------------------------------------------------------------------------
-
-#: request bodies above this are rejected with 413
-MAX_BODY_BYTES = 64 * 1024 * 1024
-
-
-class _ProtocolError(ValueError):
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
-
-
-class _CoordinatorHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # Headers and body leave as separate segments; with Nagle on, the body
-    # waits for the client's delayed ACK (~40 ms) on a keep-alive socket.
-    disable_nagle_algorithm = True
-
-    @property
-    def coordinator(self) -> SweepCoordinator:
-        return self.server.coordinator  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args: Any) -> None:
-        return  # the coordinator's progress callback is the log
-
-    def _send(self, status: int, payload: JSONDict) -> None:
-        body = (json.dumps(payload) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> JSONDict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise _ProtocolError(400, "request body required (Content-Length missing)")
-        if length > MAX_BODY_BYTES:
-            raise _ProtocolError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _ProtocolError(400, f"request body is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise _ProtocolError(400, "request body must be a JSON object")
-        return data
-
-    def do_GET(self) -> None:  # noqa: N802  (http.server naming)
-        if self.path == "/healthz":
-            self._send(
-                200,
-                {
-                    "status": "ok",
-                    "role": "sweep-coordinator",
-                    "done": self.coordinator.board.all_done.is_set(),
-                },
-            )
-        elif self.path == "/stats":
-            self._send(200, self.coordinator.stats_json())
-        else:
-            self._send(404, {"error": f"no such endpoint: GET {self.path}"})
-
-    def do_POST(self) -> None:  # noqa: N802
-        if self.path not in ("/lease", "/complete", "/heartbeat"):
-            self._send(404, {"error": f"no such endpoint: POST {self.path}"})
-            return
-        try:
-            data = self._read_json()
-            worker = data.get("worker")
-            if not isinstance(worker, str) or not worker:
-                raise _ProtocolError(400, "'worker' must be a non-empty string")
-            if self.path == "/lease":
-                self._send(200, self.coordinator.lease_json(worker))
-            elif self.path == "/heartbeat":
-                self._send(200, self.coordinator.heartbeat_json(worker))
-            else:
-                self._send(
-                    200,
-                    self.coordinator.complete_json(
-                        worker,
-                        data.get("lease"),
-                        data.get("index"),
-                        data.get("outcome"),
-                    ),
-                )
-        except _ProtocolError as exc:
-            self._send(exc.status, {"error": str(exc)})
-        except ValueError as exc:
-            self._send(400, {"error": str(exc)})
-        except Exception as exc:  # noqa: BLE001 — coordinator must not die per-request
-            self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
-
-
-class _CoordinatorHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address: Tuple[str, int], coordinator: SweepCoordinator):
-        super().__init__(address, _CoordinatorHandler)
-        self.coordinator = coordinator
-
-
-# ---------------------------------------------------------------------------
 # the worker side
 # ---------------------------------------------------------------------------
 
 
-class CoordinatorClient:
+class CoordinatorClient(JSONClient):
     """Keep-alive stdlib client for the coordinator protocol.
 
     The worker loop's transport, and executable documentation of the wire
-    format (mirrors :class:`repro.serve.client.ServeClient`).
+    format (mirrors :class:`repro.serve.client.ServeClient`).  Non-2xx
+    answers raise :class:`repro.net.StatusError`, a ``RuntimeError``.
     """
 
-    def __init__(self, host: str, port: int, timeout: float = 60.0):
-        from http.client import HTTPConnection
-
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self._make = lambda: HTTPConnection(host, port, timeout=timeout)
-        self._conn = None
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
-    def __enter__(self) -> "CoordinatorClient":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def _request(self, method: str, path: str, payload: Optional[JSONDict] = None) -> JSONDict:
-        from http.client import HTTPException
-
-        body = json.dumps(payload).encode("utf-8") if payload is not None else None
-        headers = {"Content-Type": "application/json"} if body else {}
-        if self._conn is None:
-            self._conn = self._make()
-        try:
-            self._conn.request(method, path, body=body, headers=headers)
-            response = self._conn.getresponse()
-            data = response.read()
-            status = response.status
-        except (HTTPException, ConnectionError, BrokenPipeError):
-            # Stale keep-alive: retry once on a fresh connection.
-            self.close()
-            self._conn = self._make()
-            self._conn.request(method, path, body=body, headers=headers)
-            response = self._conn.getresponse()
-            data = response.read()
-            status = response.status
-        parsed = json.loads(data.decode("utf-8")) if data else {}
-        if status >= 400:
-            message = parsed.get("error", "unknown error") if isinstance(parsed, dict) else data
-            raise RuntimeError(f"coordinator HTTP {status}: {message}")
-        return parsed
-
     def wait_ready(self, timeout: float = 30.0, interval: float = 0.05) -> JSONDict:
-        deadline = time.monotonic() + timeout
-        last: Optional[Exception] = None
-        while time.monotonic() < deadline:
-            try:
-                return self.healthz()
-            except (OSError, RuntimeError, ValueError) as exc:
-                last = exc
-                self.close()
-                time.sleep(interval)
-        raise TimeoutError(
-            f"coordinator at {self.host}:{self.port} not ready after {timeout}s: {last}"
-        )
-
-    def healthz(self) -> JSONDict:
-        return self._request("GET", "/healthz")
-
-    def stats(self) -> JSONDict:
-        return self._request("GET", "/stats")
+        return super().wait_ready(timeout, interval)
 
     def lease(self, worker: str) -> JSONDict:
-        return self._request("POST", "/lease", {"worker": worker})
+        return self._json("POST", "/lease", {"worker": worker})
 
     def complete(
         self, worker: str, lease: Optional[str], index: int, outcome: JSONDict
     ) -> JSONDict:
-        return self._request(
+        return self._json(
             "POST",
             "/complete",
             {"worker": worker, "lease": lease, "index": index, "outcome": outcome},
         )
 
     def heartbeat(self, worker: str) -> JSONDict:
-        return self._request("POST", "/heartbeat", {"worker": worker})
+        return self._json("POST", "/heartbeat", {"worker": worker})
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Minimal stdlib client for the solver daemon.
 
-:class:`ServeClient` wraps :class:`http.client.HTTPConnection` with the
-daemon's JSON conventions: it is what the tests, the CI ``serve-smoke``
+:class:`ServeClient` is the shared keep-alive :class:`repro.net.JSONClient`
+plus the daemon's endpoints: it is what the tests, the CI ``serve-smoke``
 job and ``benchmarks/bench_serve.py`` use, and doubles as executable
 documentation of the wire protocol.
 
@@ -18,108 +18,20 @@ plain methods return parsed JSON for convenience::
 from __future__ import annotations
 
 import json
-import time
-from http.client import HTTPConnection, HTTPException
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-JSONDict = Dict[str, Any]
+from repro.net import JSONClient, JSONDict, StatusError
 
-
-class ServeError(RuntimeError):
-    """A non-2xx daemon response.
-
-    Carries the HTTP ``status``, the server's ``message`` (from the
-    ``{"error": ...}`` body) and ``retry_after`` seconds when the daemon
-    sent a 429.
-    """
-
-    def __init__(self, status: int, message: str, retry_after: Optional[float] = None):
-        super().__init__(f"HTTP {status}: {message}")
-        self.status = status
-        self.message = message
-        self.retry_after = retry_after
+#: a non-2xx daemon response: ``status``, ``message`` (the server's
+#: ``{"error": ...}``) and ``retry_after`` seconds when the daemon sent a 429
+ServeError = StatusError
 
 
-class ServeClient:
+class ServeClient(JSONClient):
     """One keep-alive connection to a running solver daemon."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8350, timeout: float = 60.0):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self._conn: Optional[HTTPConnection] = None
-
-    # -- connection plumbing ------------------------------------------------
-
-    def _connection(self) -> HTTPConnection:
-        if self._conn is None:
-            self._conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
-        return self._conn
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
-    def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def _request(
-        self, method: str, path: str, payload: Optional[JSONDict] = None
-    ) -> Tuple[bytes, int]:
-        body = None
-        headers = {}
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        conn = self._connection()
-        try:
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
-            status = response.status
-            retry_after = response.getheader("Retry-After")
-        except (HTTPException, ConnectionError, BrokenPipeError):
-            # Stale keep-alive (daemon restarted, idle timeout): retry once
-            # on a fresh connection before giving up.
-            self.close()
-            conn = self._connection()
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
-            status = response.status
-            retry_after = response.getheader("Retry-After")
-        if status >= 400:
-            try:
-                message = json.loads(data.decode("utf-8"))["error"]
-            except (ValueError, KeyError, UnicodeDecodeError):
-                message = data.decode("utf-8", "replace").strip() or "unknown error"
-            raise ServeError(
-                status, message, retry_after=float(retry_after) if retry_after else None
-            )
-        return data, status
-
-    def wait_ready(self, timeout: float = 10.0, interval: float = 0.05) -> JSONDict:
-        """Poll ``/healthz`` until the daemon answers; returns its body.
-
-        Raises :class:`TimeoutError` if the daemon never comes up — used by
-        everything that launches the daemon as a subprocess.
-        """
-        deadline = time.monotonic() + timeout
-        last: Optional[Exception] = None
-        while time.monotonic() < deadline:
-            try:
-                return self.healthz()
-            except (OSError, HTTPException, ServeError) as exc:
-                last = exc
-                self.close()
-                time.sleep(interval)
-        raise TimeoutError(
-            f"daemon at {self.host}:{self.port} not ready after {timeout}s: {last}"
-        )
+        super().__init__(host, port, timeout)
 
     # -- solve endpoints (raw bytes + parsed) -------------------------------
 
@@ -136,8 +48,7 @@ class ServeClient:
         self, instance: JSONDict, solver: str, opts: Optional[JSONDict] = None
     ) -> JSONDict:
         """``POST /solve`` → the canonical report, parsed."""
-        data, _ = self.solve_raw(instance, solver, opts)
-        return json.loads(data.decode("utf-8"))
+        return json.loads(self.solve_raw(instance, solver, opts)[0])
 
     def solve_batch_raw(
         self,
@@ -159,33 +70,21 @@ class ServeClient:
         solvers: Union[str, Sequence[str]],
         opts: Optional[JSONDict] = None,
     ) -> List[List[JSONDict]]:
-        data, _ = self.solve_batch_raw(instances, solvers, opts)
-        return json.loads(data.decode("utf-8"))
+        return json.loads(self.solve_batch_raw(instances, solvers, opts)[0])
 
     def sweep_raw(self, spec: JSONDict) -> Tuple[bytes, int]:
         return self._request("POST", "/sweep", {"spec": spec})
 
     def sweep(self, spec: JSONDict) -> JSONDict:
-        data, _ = self.sweep_raw(spec)
-        return json.loads(data.decode("utf-8"))
+        return json.loads(self.sweep_raw(spec)[0])
 
     # -- introspection ------------------------------------------------------
 
-    def _get_json(self, path: str) -> JSONDict:
-        data, _ = self._request("GET", path)
-        return json.loads(data.decode("utf-8"))
-
-    def healthz(self) -> JSONDict:
-        return self._get_json("/healthz")
-
     def version(self) -> str:
-        return self._get_json("/version")["version"]
-
-    def stats(self) -> JSONDict:
-        return self._get_json("/stats")
+        return self._json("GET", "/version")["version"]
 
     def solvers(self) -> List[JSONDict]:
-        return self._get_json("/solvers")["solvers"]
+        return self._json("GET", "/solvers")["solvers"]
 
     def families(self) -> JSONDict:
-        return self._get_json("/families")
+        return self._json("GET", "/families")

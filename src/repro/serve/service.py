@@ -43,6 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import __version__, api
 from repro.lp import list_backends
+from repro.net import RequestError
 from repro.runtime.cache import AnyCache, coerce_cache, solve_job_key
 from repro.serve.coalesce import Coalescer
 from repro.utils.hashing import UnhashablePayloadError, stable_hash
@@ -50,16 +51,19 @@ from repro.utils.hashing import UnhashablePayloadError, stable_hash
 JSONDict = Dict[str, Any]
 
 
-class ServeRequestError(ValueError):
-    """A malformed or unserviceable request (maps to an HTTP 4xx)."""
-
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
+#: a malformed or unserviceable request (maps to an HTTP 4xx)
+ServeRequestError = RequestError
 
 
-class Saturated(RuntimeError):
-    """The daemon is at capacity (maps to HTTP 429 + Retry-After)."""
+#: seconds suggested to a 429'd client before retrying
+RETRY_AFTER_SECONDS = 1
+
+
+class Saturated(RequestError):
+    """The daemon is at capacity: HTTP 429 with a ``Retry-After`` header."""
+
+    def __init__(self, message: str):
+        super().__init__(429, message, RETRY_AFTER_SECONDS)
 
 
 @dataclass

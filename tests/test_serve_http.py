@@ -1,6 +1,7 @@
 """The HTTP front end: byte-identity with the CLI, concurrency, admission."""
 
 import json
+import socket
 import statistics
 import threading
 import time
@@ -216,6 +217,54 @@ class TestAdmissionControlHTTP:
             thread.join(timeout=30.0)
             assert "body" in first  # the admitted request still completed
             assert service.admission.rejected == 1
+
+
+class TestSlowClientLockout:
+    """Admission is taken after the body arrives: half-sent requests hold a
+    connection thread, never an admission ticket."""
+
+    @staticmethod
+    def _half_sent_post(port):
+        sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        sock.sendall(
+            b"POST /solve HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 100\r\n\r\n{"
+        )
+        return sock
+
+    def test_half_sent_bodies_do_not_lock_out_honest_clients(self):
+        instance = _family_zoo()["broadcast"]
+        with serve(ServeConfig(cache=False, workers=1, queue=1)) as (port, client, service):
+            stalled = [self._half_sent_post(port) for _ in range(2)]
+            try:
+                time.sleep(0.2)  # both handlers are now blocked mid-body
+                body, status = client.solve_raw(instance, SOLVER)
+                assert status == 200 and json.loads(body)["kind"] == "solve-report"
+                assert service.admission.rejected == 0
+            finally:
+                for sock in stalled:
+                    sock.close()
+
+    def test_read_deadline_drops_a_stalled_body(self, monkeypatch):
+        from repro import net
+
+        monkeypatch.setattr(net, "READ_TIMEOUT_S", 0.5)
+        instance = _family_zoo()["broadcast"]
+        with serve(ServeConfig(cache=False, workers=1, queue=1)) as (port, _client, _service):
+            stalled = self._half_sent_post(port)
+            honest = ServeClient(port=port)
+            try:
+                assert honest.solve_raw(instance, SOLVER)[1] == 200
+                stalled.settimeout(5.0)
+                reply = b""
+                while chunk := stalled.recv(4096):  # until the daemon closes
+                    reply += chunk
+                assert reply.startswith(b"HTTP/1.1 408 ")
+                assert b"Connection: close" in reply
+                assert honest.healthz()["status"] == "ok"
+            finally:
+                honest.close()
+                stalled.close()
 
 
 class TestErrorsAndEndpoints:

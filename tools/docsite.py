@@ -52,11 +52,13 @@ NAV: List[Tuple[str, str]] = [
     ("API reference", "api/index.md"),
 ]
 
-#: subpackages that get a generated reference page (``api/<name>.md``)
+#: subpackages (and plain modules) that get a generated reference page
+#: (``api/<name>.md``)
 API_PACKAGES = [
     "repro.api",
     "repro.runtime",
     "repro.serve",
+    "repro.net",
     "repro.scenarios",
     "repro.graphs",
     "repro.games",
@@ -313,7 +315,8 @@ def _signature(obj: object) -> str:
 
 
 def generate_api_page(package_name: str, warn: Warnings) -> str:
-    """One markdown page documenting every module of ``package_name``."""
+    """One markdown page documenting every module of ``package_name``
+    (just the module itself when it is a plain module)."""
     package = importlib.import_module(package_name)
     md: List[str] = [f"# `{package_name}`", ""]
     intro = _first_paragraph(package.__doc__)
@@ -323,7 +326,7 @@ def generate_api_page(package_name: str, warn: Warnings) -> str:
         warn.add(f"package {package_name} has no docstring")
 
     module_names = [package_name]
-    for info in pkgutil.iter_modules(package.__path__, prefix=f"{package_name}."):
+    for info in pkgutil.iter_modules(getattr(package, "__path__", []), f"{package_name}."):
         if not info.ispkg and not info.name.rsplit(".", 1)[-1].startswith("_"):
             module_names.append(info.name)
         elif info.ispkg:  # nested packages (repro.hardness.solvers)
@@ -335,12 +338,13 @@ def generate_api_page(package_name: str, warn: Warnings) -> str:
 
     for name in module_names[1:] if len(module_names) > 1 else module_names:
         module = importlib.import_module(name)
-        md += [f"## `{name}`", ""]
-        doc = _first_paragraph(module.__doc__)
-        if doc:
-            md += [doc, ""]
-        else:
-            warn.add(f"module {name} has no docstring")
+        if module is not package:  # else the page intro already is its docstring
+            md += [f"## `{name}`", ""]
+            doc = _first_paragraph(module.__doc__)
+            if doc:
+                md += [doc, ""]
+            else:
+                warn.add(f"module {name} has no docstring")
         members = []
         for attr, obj in sorted(vars(module).items()):
             if attr.startswith("_") or getattr(obj, "__module__", None) != name:
