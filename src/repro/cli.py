@@ -48,6 +48,7 @@ from repro.experiments import (
     run_experiment,
     sweep_summary,
 )
+from repro.utils.jsonfmt import dumps_indented
 
 _DESCRIPTIONS = {
     "E1": "Theorem 1: LP formulations (1)/(2)/(3) agree",
@@ -752,7 +753,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 **payload.get("metadata", {}),
                 "peak_rss_bytes": peak_rss_bytes(),
             }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(dumps_indented(payload), args.out)
     else:
         _emit(report.summary(), args.out)
     return 0 if report.feasible else 1
@@ -769,7 +770,7 @@ def _cmd_solve_batch(args: argparse.Namespace) -> int:
         payload = [
             [_report_json(report, args.canonical) for report in row] for row in grid
         ]
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(dumps_indented(payload), args.out)
     else:
         lines = []
         for i, row in enumerate(grid):
@@ -879,8 +880,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lines += ["", result.summary_text()]
     _emit("\n".join(lines), args.out)
     if args.json_out:
-        # Streams one job record at a time; bytes identical to dumping
-        # result.to_json() with indent=2/sort_keys (regression-tested).
+        # Streams one job record at a time; bytes identical to the stdlib's
+        # indented, key-sorted dump of result.to_json() (regression-tested).
         result.write_json(args.json_out)
     return 0 if result.ok else 1
 
@@ -988,7 +989,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.cache_command == "stats":
         stats = cache.stats()
         if args.json:
-            print(json.dumps(stats, indent=2, sort_keys=True))
+            print(dumps_indented(stats, sort_keys=True))
             return 0
         print(f"cache root: {stats['root']} (schema v{stats['schema']})")
         print(f"entries:    {stats['entries']}")
@@ -1072,8 +1073,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         json_out = args.out + ".json"
     if json_out:
         with open(json_out, "w") as fh:
-            json.dump(sweep_summary(items, seed=args.seed), fh, indent=2)
-            fh.write("\n")
+            fh.write(dumps_indented(sweep_summary(items, seed=args.seed)) + "\n")
     return 1 if failures else 0
 
 

@@ -11,10 +11,14 @@ for a missing body, a non-integer ``Content-Length`` or invalid/non-object
 JSON, ``404`` for an unknown route, ``405`` for ``PUT``/``DELETE``/``PATCH``,
 ``408`` for a body stalled past the deadline, ``413`` above
 :data:`MAX_BODY_BYTES`, a :class:`RequestError`'s own status, and ``500``
-for any other exception.  (http.server still answers a malformed request
-line or a method such as ``HEAD`` with its own HTML page.)  An error
-answer to a request with a body closes the connection, since unread body
-bytes must not parse as a next request.
+for any other exception.  http.server's own refusals (``400`` for a
+malformed request line, ``501`` for a method such as ``HEAD`` or
+``OPTIONS``, ``414``/``431`` for an oversized request line or headers)
+take the same JSON path; an answer to ``HEAD`` carries the headers
+only.  An error answer to a request with a body closes the connection,
+since unread body bytes must not parse as a next request.  A client that
+disconnects before its answer is written costs one log line (none when
+the server is ``quiet``), not a traceback.
 
 :class:`JSONClient` is the matching keep-alive client.
 """
@@ -22,7 +26,9 @@ bytes must not parse as a next request.
 from __future__ import annotations
 
 import json
+import sys
 import time
+from http import HTTPStatus
 from http.client import HTTPConnection, HTTPException
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -73,13 +79,23 @@ class JSONHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", str(retry_after))
-        if status >= 400 and self.command != "GET":
+        if status >= 400 and (self.command != "GET" or self.close_connection):
             self.send_header("Connection", "close")  # also sets close_connection
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
     def _send_error(self, status: int, message: str, retry_after: Optional[int] = None) -> None:
         self._send(status, (json.dumps({"error": message}, indent=2) + "\n").encode(), retry_after)
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """http.server's own refusals, as JSON errors on a closing connection."""
+        self.log_error("code %d, message %s", code, message)
+        if self.request_version == "HTTP/0.9":  # the pre-parse default: still send a status line
+            self.request_version = "HTTP/1.0"
+        self.close_connection = True
+        self._send_error(code, message or HTTPStatus(code).phrase)
 
     def _read_json(self) -> JSONDict:
         declared = self.headers.get("Content-Length")
@@ -144,6 +160,15 @@ class JSONServer(ThreadingHTTPServer):
         self.routes = routes
         self.quiet = quiet
         self.on_request = on_request
+
+    def handle_error(self, request: Any, client_address: Tuple[str, int]) -> None:
+        """A client that went away gets one line; anything else its traceback."""
+        exc = sys.exc_info()[1]
+        if not isinstance(exc, (BrokenPipeError, ConnectionResetError)):
+            super().handle_error(request, client_address)
+        elif not self.quiet:
+            host, port = client_address[:2]
+            sys.stderr.write(f"client {host}:{port} disconnected: {exc}\n")
 
 
 class StatusError(RuntimeError):

@@ -150,16 +150,16 @@ class ResultCache:
         """The stored entry for ``key``, or ``None`` on a miss.
 
         A corrupt entry (truncated write from a killed process predating
-        atomic replace, manual edit) counts as a miss and is removed, so
-        one bad file cannot wedge a sweep.  A merely *unreadable* entry
-        (permissions, I/O error) is a miss but is left in place — another
-        process may still be able to read it.
+        atomic replace, manual edit, bytes that are not UTF-8) counts as a
+        miss and is removed, so one bad file cannot wedge a sweep.  A
+        merely *unreadable* entry (permissions, I/O error) is a miss but is
+        left in place — another process may still be able to read it.
         """
         path = self.path_for(key)
         try:
             with open(path) as fh:
                 entry = json.load(fh)
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, UnicodeDecodeError
             try:
                 path.unlink()
             except OSError:

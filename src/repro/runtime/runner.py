@@ -26,7 +26,6 @@ across ``--jobs 1``, ``--jobs N``, and warm-cache reruns.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import time
 from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
@@ -51,6 +50,7 @@ from repro.runtime.cache import AnyCache, coerce_cache, solve_job_key
 from repro.runtime.spec import SweepJob, jobs_from_instances
 from repro.runtime.workers import run_solve_job
 from repro.utils.hashing import UnhashablePayloadError
+from repro.utils.jsonfmt import dumps_indented
 
 JSONDict = Dict[str, Any]
 ProgressFn = Callable[["JobOutcome", int, int], None]
@@ -320,8 +320,8 @@ class SweepResult:
     def write_json(self, sink: Union[str, Path, IO[str]]) -> None:
         """Stream the :meth:`to_json` payload to ``sink``, one job at a time.
 
-        Byte-identical to ``json.dump(self.to_json(), fh, indent=2,
-        sort_keys=True)`` plus a trailing newline — the ``--json-out``
+        Byte-identical to the stdlib's two-space indented, key-sorted dump
+        of :meth:`to_json` plus a trailing newline — the ``--json-out``
         contract — but memory stays one record, not the whole report list.
         ``sink`` is a path or an open text file.
         """
@@ -374,16 +374,16 @@ def job_record(o: JobOutcome) -> JSONDict:
 
 def dump_job_record(record: JSONDict) -> str:
     """One record serialized exactly as the full canonical dump would."""
-    return json.dumps(record, indent=2, sort_keys=True)
+    return dumps_indented(record, sort_keys=True)
 
 
 def write_sweep_json(fh: IO[str], dumped_records: Iterable[str]) -> None:
     """Emit a ``sweep-result`` JSON document from pre-dumped job records.
 
     Pastes each :func:`dump_job_record` string into the enclosing document
-    at the right indentation, producing bytes identical to
-    ``json.dump({"kind": ..., "schema": ..., "jobs": [...]}, fh, indent=2,
-    sort_keys=True)`` followed by a newline — without ever holding more
+    at the right indentation, producing bytes identical to the stdlib's
+    two-space indented, key-sorted dump of ``{"kind": ..., "schema": ...,
+    "jobs": [...]}`` followed by a newline — without ever holding more
     than one record in memory.  (Top-level keys are emitted in sorted
     order by hand: ``jobs`` < ``kind`` < ``schema``.)
     """

@@ -33,7 +33,7 @@ Responses are canonical: the report JSON with the wall clock zeroed
 
 from __future__ import annotations
 
-import json
+import io
 import threading
 import time
 from collections import OrderedDict
@@ -47,6 +47,7 @@ from repro.net import RequestError
 from repro.runtime.cache import AnyCache, coerce_cache, solve_job_key
 from repro.serve.coalesce import Coalescer
 from repro.utils.hashing import UnhashablePayloadError, stable_hash
+from repro.utils.jsonfmt import dumps_indented
 
 JSONDict = Dict[str, Any]
 
@@ -281,9 +282,10 @@ class SolverService:
             raise ServeRequestError(400, f"options are not cacheable JSON: {exc}") from None
 
         entry = self.cache.get(key)
-        if entry is not None and entry.get("status") == "ok":
+        cached = entry.get("report") if entry is not None and entry.get("status") == "ok" else None
+        if isinstance(cached, dict):  # an entry without a report object is a miss
             self.counters.bump("result_cache_hits")
-            return api.serialize.canonical_report_json(entry["report"])
+            return api.serialize.canonical_report_json(cached)
         self.counters.bump("result_cache_misses")
 
         def compute() -> JSONDict:
@@ -359,7 +361,7 @@ class SolverService:
     @staticmethod
     def _body(payload: Any) -> bytes:
         """Render a response exactly like ``cli.py``'s ``--json`` output."""
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        return (dumps_indented(payload) + "\n").encode("utf-8")
 
     def solve_json(self, data: JSONDict) -> bytes:
         """``POST /solve`` body: one canonical report."""
@@ -415,9 +417,9 @@ class SolverService:
             result = SweepRunner(jobs=1, cache=self.cache).run(jobs)
         self.counters.bump("sweep_jobs", len(jobs))
         self.counters.bump("sweep_cache_hits", result.cache_hits)
-        return (
-            json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n"
-        ).encode("utf-8")
+        buf = io.StringIO()
+        result.write_json(buf)
+        return buf.getvalue().encode("utf-8")
 
     def solvers_json(self) -> bytes:
         """``GET /solvers``: the registry, JSON-shaped."""

@@ -8,6 +8,7 @@ still answer ``/healthz`` afterwards.
 
 import json
 import socket
+import struct
 import threading
 from contextlib import contextmanager
 from http.client import HTTPConnection, HTTPResponse
@@ -161,3 +162,118 @@ def test_worker_survives_html_502_from_coordinator_address():
     with bad_gateway() as port:
         summary = run_worker(connect=("127.0.0.1", port), worker_id="w0", ready_timeout=5.0)
     assert summary.completed == 0 and summary.failed == 0
+
+
+# ---------------------------------------------------------------------------
+# http.server's own refusals and clients that go away
+# ---------------------------------------------------------------------------
+
+#: request http.server refuses before any route runs -> (raw bytes, status)
+REFUSALS = {
+    "options": (b"OPTIONS /healthz HTTP/1.1\r\nHost: test\r\n\r\n", 501),
+    "malformed-request-line": (b"GARBAGE\r\n\r\n", 400),
+    "bad-http-version": (b"GET /healthz HTTP/x.y\r\nHost: test\r\n\r\n", 400),
+}
+
+
+@pytest.mark.parametrize("daemon", sorted(DAEMONS))
+@pytest.mark.parametrize("refusal", list(REFUSALS))
+def test_http_server_refusals_are_json(daemon, refusal):
+    raw, status = REFUSALS[refusal]
+    with DAEMONS[daemon]() as (port, _route):
+        response, body, sock = exchange(port, raw)
+        try:
+            assert response.status == status, body
+            assert response.getheader("Content-Type") == "application/json"
+            assert response.getheader("Connection") == "close"
+            assert isinstance(body.get("error"), str) and body["error"]
+        finally:
+            sock.close()
+        assert_healthy(port)
+
+
+@pytest.mark.parametrize("daemon", sorted(DAEMONS))
+def test_head_gets_json_headers_without_a_body(daemon):
+    with DAEMONS[daemon]() as (port, _route):
+        sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        try:
+            sock.sendall(b"HEAD /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            response = HTTPResponse(sock, method="HEAD")
+            response.begin()
+            assert response.status == 501
+            assert response.getheader("Content-Type") == "application/json"
+            assert int(response.getheader("Content-Length")) > 0
+            assert response.getheader("Connection") == "close"
+            response.close()
+            sock.settimeout(10)
+            assert sock.recv(4096) == b""  # no body bytes follow the headers
+        finally:
+            sock.close()
+        assert_healthy(port)
+
+
+@contextmanager
+def echo_server(quiet):
+    """A bare ``JSONServer``; yields (port, event set after each handle_error)."""
+    server = net.JSONServer(("127.0.0.1", 0), {("POST", "/echo"): lambda body: b"{}"},
+                            quiet=quiet)
+    handled = threading.Event()
+    handle_error = server.handle_error
+
+    def spy(request, client_address):
+        try:
+            handle_error(request, client_address)
+        finally:
+            handled.set()
+
+    server.handle_error = spy
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield server.server_address[1], handled
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _half_send_and_reset(port):
+    """A POST whose body never completes, then a reset (SO_LINGER 0) close."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+    sock.sendall(_post("/echo", b"{", length=100))
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def _post_echo(port):
+    """One clean exchange: the body is read, so the close is a FIN, not a reset."""
+    conn = HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("POST", "/echo", body=b"{}")
+        response = conn.getresponse()
+        assert response.status == 200
+        assert response.read() == b"{}"
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("quiet", [True, False])
+def test_client_that_went_away_is_not_a_traceback(quiet, capfd):
+    with echo_server(quiet) as (port, handled):
+        _half_send_and_reset(port)
+        assert handled.wait(10), "the reset never reached handle_error"
+        _post_echo(port)
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("disconnected") == (0 if quiet else 1), err
+
+
+def test_other_handler_errors_keep_their_traceback(capfd):
+    server = net.JSONServer(("127.0.0.1", 0), {}, quiet=True)
+    try:
+        try:
+            raise RuntimeError("a genuine handler bug")
+        except RuntimeError:
+            server.handle_error(None, ("127.0.0.1", 1))
+    finally:
+        server.server_close()
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "a genuine handler bug" in err

@@ -1,8 +1,11 @@
 """Serve core: interning LRU, coalescer, admission control, SolverService."""
 
+import errno
 import json
+import os
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro import api
 from repro.games.broadcast import BroadcastGame
 from repro.graphs.generators import random_tree_plus_chords
 from repro.runtime import ResultCache, SweepRunner, SweepSpec
+from repro.runtime import cache as cache_module
 from repro.serve import (
     AdmissionControl,
     Coalescer,
@@ -31,6 +35,24 @@ def _canonical_body(instance, solver="sne-lp2", **opts):
     report = api.solve(game, solver, **opts)
     payload = api.serialize.canonical_report_json(report)
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+def _make_read_only(root, monkeypatch):
+    """Make the cache tree under ``root`` read-only.
+
+    Permission bits do not bind a privileged process, so where the tree
+    stays writable the cache's temp-file creation is made to fail the way
+    the kernel fails it for everyone else.
+    """
+    for path in [root, *root.rglob("*")]:
+        if path.is_dir():
+            path.chmod(0o555)
+    if os.access(root, os.W_OK):
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(root))
+
+        monkeypatch.setattr(cache_module, "tempfile", SimpleNamespace(mkstemp=refuse))
 
 
 class TestInstanceLRU:
@@ -247,6 +269,54 @@ class TestSolverService:
         service2.solve_json({"instance": instance, "solver": "sne-lp2"})
         result = SweepRunner(cache=ResultCache(tmp_path / "b")).run(jobs)
         assert result.cache_hits == 1
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            b'{"kind": "solve-entry", "status": "ok", "rep',  # truncated write
+            b"\x00\xff garbage",  # not JSON, not even UTF-8
+            b"[1, 2, 3]",  # JSON, but not an entry
+            b'{"kind": "solve-entry", "status": "ok"}',  # an entry without its report
+            b'{"kind": "solve-entry", "status": "ok", "report": "oops"}',
+        ],
+    )
+    def test_corrupt_cache_entry_is_a_miss(self, tmp_path, corrupt):
+        instance = _instance()
+        request = {"instance": instance, "solver": "sne-lp2"}
+        service = SolverService(ServeConfig(cache=tmp_path))
+        service.solve_json(request)
+        (entry,) = list(service.cache.keys())
+        service.cache.path_for(entry).write_bytes(corrupt)
+
+        fresh = SolverService(ServeConfig(cache=tmp_path))
+        assert fresh.solve_json(request) == _canonical_body(instance)
+        counters = fresh.counters.as_dict()
+        assert counters["solves"] == 1 and "result_cache_hits" not in counters
+        # the re-solve replaced the bad entry: the next daemon hits it
+        again = SolverService(ServeConfig(cache=tmp_path))
+        assert again.solve_json(request) == _canonical_body(instance)
+        assert again.counters.as_dict()["result_cache_hits"] == 1
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_read_only_cache_serves_canonical_bytes(self, tmp_path, monkeypatch, warm):
+        instance = _instance()
+        request = {"instance": instance, "solver": "sne-lp2"}
+        if warm:
+            SolverService(ServeConfig(cache=tmp_path)).solve_json(request)
+        _make_read_only(tmp_path, monkeypatch)
+        try:
+            service = SolverService(ServeConfig(cache=tmp_path))
+            assert service.solve_json(request) == _canonical_body(instance)
+            assert service.solve_json(request) == _canonical_body(instance)
+            counters = service.counters.as_dict()
+            if warm:
+                assert counters["result_cache_hits"] == 2 and "solves" not in counters
+            else:
+                assert counters["solves"] == 2 and "result_cache_hits" not in counters
+        finally:
+            for path in [tmp_path, *tmp_path.rglob("*")]:
+                if path.is_dir():
+                    path.chmod(0o755)
 
     def test_repro_cache_dir_env_selects_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "via-env"))

@@ -1,7 +1,11 @@
 """Tests for repro.utils helpers."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.utils import (
     EQ_TOL,
@@ -12,6 +16,7 @@ from repro.utils import (
     leq_with_tol,
     nonnegative,
 )
+from repro.utils.jsonfmt import dumps_indented
 from repro.utils.validation import check_edge_weight, check_positive_int, check_probability
 
 
@@ -95,3 +100,92 @@ class TestValidation:
             check_probability(-0.1)
         with pytest.raises(ValueError):
             check_probability(1.1)
+
+
+# ---------------------------------------------------------------------------
+# dumps_indented: the stdlib's indent=2 bytes from the C encoder
+# ---------------------------------------------------------------------------
+
+#: characters that stress the re-indent: escapes, quotes, structural
+#: characters inside strings, non-ASCII text and a lone surrogate
+_TRICKY = ['"', "\\", '\\"', "\\\\", "[", "]", "{", "}", ",", ":", ": ", "\n", "\t", "\x00",
+           "\x1f", "é", "日本", "\U0001f600", "\ud800", "[]", "{}", " "]
+
+_text = st.lists(st.sampled_from(_TRICKY) | st.text(max_size=3), max_size=4).map("".join)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | _text
+)
+_keys = _text | st.integers(-5, 5) | st.floats(allow_nan=False) | st.booleans() | st.none()
+_trees = st.recursive(
+    _scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_keys, children, max_size=4),
+    max_leaves=30,
+)
+
+
+def _assert_matches_stdlib(obj, **kw):
+    try:
+        expected = json.dumps(obj, indent=2, **kw)
+    except TypeError:  # sort_keys over keys of mixed types
+        with pytest.raises(TypeError):
+            dumps_indented(obj, **kw)
+        return
+    assert dumps_indented(obj, **kw) == expected
+
+
+class TestDumpsIndented:
+    @settings(max_examples=400, deadline=None)
+    @given(obj=_trees, sort_keys=st.booleans(), ensure_ascii=st.booleans())
+    def test_matches_stdlib_indent_2(self, obj, sort_keys, ensure_ascii):
+        _assert_matches_stdlib(obj, sort_keys=sort_keys, ensure_ascii=ensure_ascii)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            0, "x", None, float("nan"), [], {}, [[]], [{}], {"a": []}, {"a": {}},
+            [[], [[]], {"b": [{}]}], {"": ""}, ['"', "\\", '\\"', "a\\\\"],
+            {'k"]': ["[{,:}]", "é\ud800"]}, {1: 2, 2.5: [], None: {}, True: "t"},
+            [float("inf"), -float("inf"), 1e300, -0.0],
+        ],
+    )
+    @pytest.mark.parametrize("sort_keys", [False, True])
+    @pytest.mark.parametrize("ensure_ascii", [False, True])
+    def test_edge_cases(self, obj, sort_keys, ensure_ascii):
+        _assert_matches_stdlib(obj, sort_keys=sort_keys, ensure_ascii=ensure_ascii)
+
+    def test_deep_nesting(self):
+        obj = []
+        for i in range(200):
+            obj = [obj, {"depth": i}]
+        assert dumps_indented(obj) == json.dumps(obj, indent=2)
+
+    def test_encoder_errors_pass_through(self):
+        with pytest.raises(ValueError):
+            dumps_indented([float("nan")], allow_nan=False)
+        with pytest.raises(TypeError):
+            dumps_indented({"x": object()})
+        assert dumps_indented({"x": {1, 2}}, default=sorted) == json.dumps(
+            {"x": [1, 2]}, indent=2
+        )
+
+    def test_sweep_json_out_bytes_pinned(self, tmp_path):
+        """``--json-out`` of a fixed LP-free sweep, digest taken while the
+        records were still written by the stdlib's pure-Python encoder."""
+        from repro.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "solvers": ["theorem6", "combinatorial", "aon-greedy"],
+            "models": ["tree-chords"], "sizes": [8, 12], "count": 2, "seed": 5,
+        }))
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--spec", str(spec), "--json-out", str(out), "--no-cache", "--quiet"]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c619b63938c63a8879aa275a2ca9d88332d5130978ca017e165b007e6aac5a54"
+        )
