@@ -183,7 +183,7 @@ def run_all_tolerant(
         Experiment ids excluded up front (``status == "skipped"``); skips
         are reported distinctly from failures and do not fail the sweep.
     """
-    from repro.runtime.cache import coerce_cache, experiment_job_key
+    from repro.runtime.cache import cached_entry, coerce_cache, experiment_job_key
     from repro.runtime.runner import execute_payloads
     from repro.runtime.workers import experiment_source_digest, run_experiment_job
 
@@ -206,8 +206,8 @@ def run_all_tolerant(
         cache_key = keys[key] = experiment_job_key(
             key, seed, experiment_source_digest(key)
         )
-        entry = store.get(cache_key)
-        if entry is not None and entry.get("status") == "ok":
+        entry = cached_entry(store, cache_key, "result")
+        if entry is not None:
             # elapsed_seconds is what *this run* spent (~nothing for a
             # hit); the original solve time stays inside the result's own
             # elapsed_seconds field for display.

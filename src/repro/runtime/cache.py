@@ -290,6 +290,23 @@ class NullCache:
 AnyCache = Union[ResultCache, NullCache]
 
 
+def cached_entry(
+    cache: AnyCache, key: Optional[str], payload: str = "report"
+) -> Optional[JSONDict]:
+    """The entry stored under ``key`` if it is a hit, else ``None``.
+
+    A hit has ``status == "ok"`` and a JSON object under ``payload``
+    (``"report"`` for solve jobs, ``"result"`` for experiments).  No key,
+    a miss, or any other entry (say ``{"status": "ok"}`` with its payload
+    missing) means the job is recomputed, and its fresh entry then
+    replaces the stored one.  Every cache reader decides hits here.
+    """
+    entry = cache.get(key) if key else None
+    if entry is None or entry.get("status") != "ok":
+        return None
+    return entry if isinstance(entry.get(payload), dict) else None
+
+
 def coerce_cache(value: Union[AnyCache, str, Path, bool, None]) -> AnyCache:
     """Normalize the cache-argument convention used across the runtime.
 

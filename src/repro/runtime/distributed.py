@@ -78,7 +78,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.net import JSONClient, JSONDict, JSONServer, RequestError, Route
-from repro.runtime.cache import AnyCache, atomic_write_text, coerce_cache
+from repro.runtime.cache import AnyCache, atomic_write_text, cached_entry, coerce_cache
 from repro.runtime.runner import (
     JobOutcome,
     dump_job_record,
@@ -693,13 +693,13 @@ class SweepCoordinator:
         misses: List[int] = []
         for job in self.jobs:
             key = self.keys[job.index]
-            entry = self.cache.get(key) if key else None
-            if entry is not None and entry.get("status") == "ok":
+            entry = cached_entry(self.cache, key)
+            if entry is not None:
                 self.folder.fold(
                     job.index,
                     {
                         "status": "ok",
-                        "report": entry.get("report"),
+                        "report": entry["report"],
                         "elapsed_seconds": entry.get("elapsed_seconds", 0.0),
                     },
                     cached=True,

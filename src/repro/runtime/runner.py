@@ -46,7 +46,7 @@ from typing import (
     Union,
 )
 
-from repro.runtime.cache import AnyCache, coerce_cache, solve_job_key
+from repro.runtime.cache import AnyCache, cached_entry, coerce_cache, solve_job_key
 from repro.runtime.spec import SweepJob, jobs_from_instances
 from repro.runtime.workers import run_solve_job
 from repro.utils.hashing import UnhashablePayloadError
@@ -490,15 +490,15 @@ class SweepRunner:
         # 1. cache pass (also validates every solver name up front)
         for job in sweep_jobs:
             key = keys[job.index] = self._key_of(job)
-            entry = self.cache.get(key) if key else None
-            if entry is not None and entry.get("status") == "ok":
+            entry = cached_entry(self.cache, key)
+            if entry is not None:
                 finish(
                     JobOutcome(
                         job=job,
                         status="ok",
                         cached=True,
                         key=key,
-                        report=entry.get("report"),
+                        report=entry["report"],
                         elapsed_seconds=entry.get("elapsed_seconds", 0.0),
                     )
                 )

@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro import __version__, api
 from repro.lp import list_backends
 from repro.net import RequestError
-from repro.runtime.cache import AnyCache, coerce_cache, solve_job_key
+from repro.runtime.cache import AnyCache, cached_entry, coerce_cache, solve_job_key
 from repro.serve.coalesce import Coalescer
 from repro.utils.hashing import UnhashablePayloadError, stable_hash
 from repro.utils.jsonfmt import dumps_indented
@@ -281,11 +281,10 @@ class SolverService:
         except UnhashablePayloadError as exc:
             raise ServeRequestError(400, f"options are not cacheable JSON: {exc}") from None
 
-        entry = self.cache.get(key)
-        cached = entry.get("report") if entry is not None and entry.get("status") == "ok" else None
-        if isinstance(cached, dict):  # an entry without a report object is a miss
+        entry = cached_entry(self.cache, key)
+        if entry is not None:
             self.counters.bump("result_cache_hits")
-            return api.serialize.canonical_report_json(cached)
+            return api.serialize.canonical_report_json(entry["report"])
         self.counters.bump("result_cache_misses")
 
         def compute() -> JSONDict:

@@ -1,10 +1,12 @@
 """Approximate & anytime SNE solvers with certified optimality gaps.
 
 The exact LP(1)/LP(2)/LP(3) pipeline answers the paper's question to
-optimality but tops out around a few hundred nodes.  This module is the
-scale tier above it: heuristics that always return a *feasible* subsidy
-assignment together with a **certified lower bound** on the optimum, so
-every run carries a proved optimality gap ``ub - lb``:
+optimality; on label-level broadcast instances ``sne-lp3`` solves a
+10^4-node grid in about 2 s, but its cost and memory grow with every
+materialized incidence row.  This module is the scale tier beside it:
+heuristics that always return a *feasible* subsidy assignment together
+with a **certified lower bound** on the optimum, so every run carries a
+proved optimality gap ``ub - lb``, up to 10^5–10^6 nodes:
 
 * :func:`solve_sne_greedy` — generic greedy over any game family: per
   round, every violated player's own path is fully subsidized (a fully

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.runtime import SweepRunner, SweepSpec
+from repro.runtime import ResultCache, SweepRunner, SweepSpec
 from repro.runtime.distributed import (
     STALL_ENV,
     CoordinatorClient,
@@ -280,6 +280,29 @@ class TestDistributedByteIdentity:
         result = warm.run()  # never serves, never needs a worker
         assert result.ok and result.cache_hits == result.total
         assert first_out.read_bytes() == warm_out.read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "bad", [{"status": "ok"}, {"status": "ok", "report": []}],
+        ids=["no-report", "list-report"],
+    )
+    def test_ok_entry_without_report_is_recomputed(self, tmp_path, bad):
+        spec = small_spec()
+        expected = single_host_bytes(tmp_path, spec)
+        cache = ResultCache(tmp_path / "cache")
+        SweepRunner(cache=cache).run(spec.expand())
+        key = min(cache.keys())
+        cache.put(key, bad)
+        out = tmp_path / "rerun.json"
+        coordinator = SweepCoordinator(spec.expand(), cache=cache, json_out=out)
+        host, port = coordinator.serve("127.0.0.1", 0)
+        threads = run_workers_in_threads(1, connect=(host, port))
+        result = coordinator.run()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert result.ok and result.cache_hits == result.total - 1
+        assert out.read_bytes() == expected
+        assert isinstance(cache.get(key)["report"], dict)  # the bad entry is replaced
 
     def test_duplicate_completion_is_idempotent(self, tmp_path):
         """Two workers finish the same stolen job; bytes stay identical."""

@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import solve_many
 from repro.api.serialize import game_from_json
-from repro.experiments import run_all_tolerant
+from repro.experiments import EXPERIMENTS, run_all_tolerant
 from repro.games.broadcast import BroadcastGame
 from repro.graphs.generators import random_tree_plus_chords
 from repro.runtime import (
@@ -34,6 +34,13 @@ def small_spec(**overrides):
 
 def result_bytes(result):
     return json.dumps(result.to_json(), sort_keys=True)
+
+
+#: ``ok`` entries without a payload object: misses, never cached hits
+BAD_OK_ENTRIES = [
+    pytest.param({"status": "ok"}, id="no-payload"),
+    pytest.param({"status": "ok", "report": [], "result": []}, id="list-payload"),
+]
 
 
 class TestSpecExpansion:
@@ -112,6 +119,21 @@ class TestSpecExpansion:
 
 
 class TestRunner:
+    @pytest.mark.parametrize("bad", BAD_OK_ENTRIES)
+    def test_ok_entry_without_report_is_recomputed(self, tmp_path, bad):
+        jobs = small_spec().expand()
+        cache = ResultCache(tmp_path / "cache")
+        SweepRunner(cache=cache).run(jobs).write_json(tmp_path / "cold.json")
+        key = min(cache.keys())
+        cache.put(key, bad)
+        rerun = SweepRunner(cache=cache).run(jobs)
+        rerun.write_json(tmp_path / "rerun.json")
+        assert rerun.ok and rerun.cache_hits == len(jobs) - 1
+        (fresh,) = [o for o in rerun if not o.cached]
+        assert fresh.key == key and fresh.status == "ok"
+        assert (tmp_path / "rerun.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
+        assert cache.get(key)["report"] == fresh.report  # the bad entry is replaced
+
     def test_parallel_equals_serial_byte_for_byte(self, tmp_path):
         jobs = small_spec().expand()
         serial = SweepRunner(cache=False, jobs=1).run(jobs)
@@ -414,6 +436,19 @@ class TestExperimentSweep:
                 assert b.result.rows == json.loads(
                     json.dumps(a.result.to_json())
                 )["rows"]
+
+    @pytest.mark.parametrize("bad", BAD_OK_ENTRIES)
+    def test_ok_entry_without_result_is_recomputed(self, tmp_path, bad):
+        cache = ResultCache(tmp_path)
+        skip = [k for k in EXPERIMENTS if k != "E5"]
+        (cold,) = [i for i in run_all_tolerant(seed=0, cache=cache, skip=skip) if i.experiment_id == "E5"]
+        (key,) = cache.keys()
+        cache.put(key, bad)
+        (rerun,) = [i for i in run_all_tolerant(seed=0, cache=cache, skip=skip) if i.experiment_id == "E5"]
+        assert rerun.status == "ok"  # recomputed, not cached
+        assert rerun.result.headline == cold.result.headline
+        assert rerun.result.rows == cold.result.rows
+        assert cache.get(key)["result"] == rerun.result.to_json()  # replaced
 
     def test_unknown_skip_rejected(self):
         with pytest.raises(KeyError, match="E99"):

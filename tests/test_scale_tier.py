@@ -2,8 +2,9 @@
 
 Covers the anytime/approximate subsidy stack end to end:
 
-* the array-native scenario builders reproduce the legacy ``Graph``
-  builders draw for draw (label-level ``(u, v, w)`` triples identical);
+* the array view (``build_scenario_indexed``) and the label view
+  (``build_scenario``) of each family's kernel hold the same label-level
+  ``(u, v, w)`` triples;
 * the power-law replay over bulk ``PCG64`` output equals the scalar
   preferential-attachment loop, arrays and generator state alike;
 * the CSR arc order is the ``lexsort`` order of ``(tail, head)``;
@@ -40,7 +41,7 @@ from repro.graphs.indexed_tree import IndexedTree
 from repro.graphs.mst import kruskal_mst, kruskal_mst_ids
 from repro.graphs.tree import RootedTree
 from repro.scenarios import build_scenario, build_scenario_indexed
-from repro.scenarios.scale import _attach_loop, _attach_replay, _power_law_arrays
+from repro.scenarios.families import _attach_loop, _attach_replay, _power_law_arrays
 from repro.subsidies import (
     SubsidyAssignment,
     lagrangian_lower_bound,
@@ -67,7 +68,7 @@ class TestUniformVectorizationContract:
 
 
 # ---------------------------------------------------------------------------
-# indexed scenario builders == legacy Graph builders, draw for draw
+# array view == label view of each family's kernel
 # ---------------------------------------------------------------------------
 
 
