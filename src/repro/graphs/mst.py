@@ -71,26 +71,43 @@ def kruskal_mst_ids(ig) -> np.ndarray:
     (``from_arrays`` rejects them when validating): the sparse matrix
     would merge them.  :func:`kruskal_mst` stays a Python loop: the
     csgraph call's fixed cost dominates on label-level graphs.
+
+    Dense graphs (``m > 2n``) are filtered first: the spanning forest of
+    the ``2n`` lightest edges already joins the endpoints of most heavier
+    edges, and such an edge is the heaviest on a cycle, so it is in no MST.
+    The second csgraph call sees only that forest and the heavier edges
+    that join two of its components; the unique tree is unchanged.
     """
     # Imported here: csgraph is not otherwise loaded by ``import repro``.
     import scipy.sparse as sp
-    from scipy.sparse.csgraph import minimum_spanning_tree
+    from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
     n = ig.num_nodes
     m = ig.num_edges
     if n <= 1:
         return np.empty(0, dtype=np.int64)
-    w = ig.edge_weights
+    eu, ev, w = ig.edge_u, ig.edge_v, ig.edge_weights
     order = np.argsort(w)
     if not bool((np.diff(w[order]) > 0).all()):
         # Ties (or NaN): only the full ``(weight, u, v)`` key fixes the order.
-        order = np.lexsort((ig.edge_v, ig.edge_u, w))
+        order = np.lexsort((ev, eu, w))
     rank = np.empty(m, dtype=np.float64)
     rank[order] = np.arange(1, m + 1, dtype=np.float64)
-    tree = minimum_spanning_tree(
-        sp.csr_matrix((rank, (ig.edge_u, ig.edge_v)), shape=(n, n)),
-        overwrite=True,
-    )
+
+    def forest(keep):
+        return minimum_spanning_tree(
+            sp.csr_matrix((rank[keep], (eu[keep], ev[keep])), shape=(n, n)),
+            overwrite=True,
+        )
+
+    keep = slice(None)
+    if m > 2 * n:
+        light = forest(order[: 2 * n])
+        _, comp = connected_components(light, directed=False)
+        keep = comp[eu] != comp[ev]
+        keep &= rank > 2 * n
+        keep[order[light.data.astype(np.int64) - 1]] = True
+    tree = forest(keep)
     if tree.nnz != n - 1:
         raise ValueError("graph is disconnected; no spanning tree exists")
     return order[np.sort(tree.data).astype(np.int64) - 1]

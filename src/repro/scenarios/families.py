@@ -191,16 +191,10 @@ def _augmented_cube_arrays(
     """The augmented cube ``AQ_d`` on ``2^d <= n`` nodes."""
     d = _cube_dim(n)
     size = 1 << d
+    # The recursive construction never repeats an edge, so the weight
+    # draws line up with it edge for edge.
     raw = _aq_edge_arrays(d)
-    lo = np.minimum(raw[:, 0], raw[:, 1])
-    hi = np.maximum(raw[:, 0], raw[:, 1])
-    keys = lo * np.int64(size) + hi
-    # First-occurrence dedup preserving the construction order, so the
-    # weight draws line up edge for edge.
-    _, first = np.unique(keys, return_index=True)
-    order = np.sort(first)
-    eu, ev = raw[order, 0], raw[order, 1]
-    return size, eu, ev, _draw_weights(rng, jitter, len(eu))
+    return size, raw[:, 0], raw[:, 1], _draw_weights(rng, jitter, len(raw))
 
 
 #: raw 64-bit words per block the replay takes from its shadow generator:

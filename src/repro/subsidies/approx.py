@@ -388,6 +388,7 @@ def solve_sne_greedy(
     rounds = 0
     timed_out = False
     stopped = "converged"
+    gap_check = target_gap is not None and ub_fallback > 0
     while True:
         if deadline_at is not None and time.monotonic() >= deadline_at and rounds:
             timed_out = True
@@ -402,12 +403,11 @@ def solve_sne_greedy(
             pool.add(row, rhs)
             for e in cur_path(rec.position):
                 b[e] = weights[e]
-        if log is not None:
+        if log is not None or gap_check:
             lb_r, _ = lagrangian_lower_bound(weights, pool.g, pool.total_deficit)
-            log.record(rounds, ub_fallback, lb_r)
-        if target_gap is not None and ub_fallback > 0:
-            lb_r, _ = lagrangian_lower_bound(weights, pool.g, pool.total_deficit)
-            if (ub_fallback - lb_r) / ub_fallback <= target_gap:
+            if log is not None:
+                log.record(rounds, ub_fallback, lb_r)
+            if gap_check and (ub_fallback - lb_r) / ub_fallback <= target_gap:
                 timed_out = True  # settle via the feasible fallback
                 stopped = "target-gap"
                 break
@@ -628,8 +628,10 @@ def solve_sne_greedy_indexed(
     :class:`GapCertificate` is certified without ever building an LP.
 
     Memory: O(n + m) flat float64/int arrays; nothing label- or
-    player-keyed.  ``deadline`` falls back to fully subsidizing every
-    established tree edge (always feasible).
+    player-keyed.  A stop at ``deadline``, ``target_gap`` or with
+    violations left after ``max_rounds`` rounds falls back to fully
+    subsidizing every established tree edge (always feasible); the anytime
+    log names the stop.
     """
     w = ig.edge_weights
     m = ig.num_edges
@@ -681,28 +683,32 @@ def solve_sne_greedy_indexed(
     pooled = np.zeros(len(U), dtype=bool)
     pe = tree.parent_eid
     rounds = 0
-    num_rows = 0
-    timed_out = False
     stopped = "converged"
+    gap_check = target_gap is not None and ub_fallback > 0
 
     def _mark_paths(tops: np.ndarray, stops: np.ndarray) -> np.ndarray:
         """Nodes x whose parent edge lies on >=1 path top -> stop (counts)."""
-        marks = np.zeros(n, dtype=np.int64)
-        np.add.at(marks, tops, 1)
-        np.add.at(marks, stops, -1)
+        marks = np.bincount(tops, minlength=n) - np.bincount(stops, minlength=n)
         return tree.subtree_counts(marks)
 
-    while rounds < max_rounds:
+    # Every pass re-evaluates all incidence slacks at the current subsidies
+    # (the vectorized analogue of the exact checker's broadcast scan), so a
+    # loop that finds no violation has verified its answer.
+    p1, p2 = p1_0, p2_0  # b = 0 in round 1
+    while True:
         if deadline_at is not None and time.monotonic() >= deadline_at and rounds:
-            timed_out = True
             stopped = "deadline"
             break
-        wn = w - b
-        p1 = tree.prefix_sum_edges(wn * inv_own)
-        p2 = tree.prefix_sum_edges(wn * inv_dev)
+        if rounds:
+            wn = w - b
+            p1 = tree.prefix_sum_edges(wn * inv_own)
+            p2 = tree.prefix_sum_edges(wn * inv_dev)
         slack = Wc + (p2[V] - p2[L]) - (p1[U] - p1[L]) if len(U) else Wc
         viol = keep & (slack < -tol) if len(U) else np.zeros(0, dtype=bool)
         if not bool(viol.any()):
+            break
+        if rounds >= max_rounds:
+            stopped = "max-rounds"
             break
         rounds += 1
         # Pool each violated row once for the Lagrangian certificate.
@@ -715,37 +721,25 @@ def solve_sne_greedy_indexed(
             eids = pe[nz]
             g[eids] += cnt_own[nz] * inv_own[eids] - cnt_dev[nz] * inv_dev[eids]
             total_deficit += float(deficit0[new].sum())
-            num_rows += int(new.sum())
         pooled |= viol
         # Greedy step: fully subsidize every violated own subpath.
         cnt = _mark_paths(U[viol], L[viol])
         hit = np.flatnonzero(cnt > 0)
         hit = hit[hit != root]
         b[pe[hit]] = w[pe[hit]]
-        if log is not None:
+        if log is not None or gap_check:
             lb_r, _ = lagrangian_lower_bound(w, g, total_deficit)
-            log.record(rounds, ub_fallback, lb_r)
-        if target_gap is not None and ub_fallback > 0:
-            lb_r, _ = lagrangian_lower_bound(w, g, total_deficit)
-            if (ub_fallback - lb_r) / ub_fallback <= target_gap:
-                timed_out = True
+            if log is not None:
+                log.record(rounds, ub_fallback, lb_r)
+            if gap_check and (ub_fallback - lb_r) / ub_fallback <= target_gap:
                 stopped = "target-gap"
                 break
 
-    if timed_out:
+    fell_back = stopped != "converged"
+    if fell_back:
+        # Full-target subsidies are feasible by construction.
         b = np.zeros(m)
         b[established] = w[established]
-        feasible_now = True
-        verified = True  # full-target subsidies are feasible by construction
-    else:
-        # Re-evaluate every incidence slack at the final subsidies: the
-        # vectorized analogue of the exact checker's broadcast scan.
-        wn = w - b
-        p1 = tree.prefix_sum_edges(wn * inv_own)
-        p2 = tree.prefix_sum_edges(wn * inv_dev)
-        slack = Wc + (p2[V] - p2[L]) - (p1[U] - p1[L]) if len(U) else Wc
-        verified = not bool((keep & (slack < -tol)).any()) if len(U) else True
-        feasible_now = verified
 
     cost = float(b.sum())
     lb, _lam = lagrangian_lower_bound(w, g, total_deficit)
@@ -753,12 +747,12 @@ def solve_sne_greedy_indexed(
     certificate = GapCertificate("lagrangian", lb, cost)
     if log is not None:
         log.stopped = stopped
-        log.record(rounds + (1 if timed_out else 0), cost, lb)
+        log.record(rounds + (1 if fell_back else 0), cost, lb)
     return IndexedApproxResult(
         subsidy_vector=b,
         cost=cost,
-        feasible=feasible_now,
-        verified=verified,
+        feasible=True,
+        verified=True,
         method="greedy-indexed",
         rounds=max(rounds, 1),
         certificate=certificate,

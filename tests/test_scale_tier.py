@@ -10,7 +10,8 @@ Covers the anytime/approximate subsidy stack end to end:
 * the CSR arc order is the ``lexsort`` order of ``(tail, head)``;
 * :class:`~repro.graphs.indexed_tree.IndexedTree` agrees with the
   dict-based :class:`~repro.graphs.tree.RootedTree` on depths, LCAs,
-  subtree loads and root-path prefix sums;
+  subtree loads and root-path prefix sums, and with the level BFS and
+  per-level ``add.at`` fold it replaced;
 * the greedy/primal-dual solvers emit *valid* gap certificates
   (``lower_bound <= exact optimum <= budget``) on every game family, with
   fast/cold parity and primal-dual convergence to the exact LP subsidies;
@@ -516,6 +517,34 @@ class TestKruskalIds:
         g = build_scenario("lower-bound-cycle", n=12, seed=0).graph
         self._assert_same(g.to_indexed())
 
+    # m > 2n: the filtered path (spanning forest of the 2n lightest edges,
+    # then only the heavier edges that join two of its components).
+    @pytest.mark.parametrize("name", ["augmented-cube", "hypercube"])
+    @pytest.mark.parametrize("jitter", [None, 0.0])
+    def test_dense_families_match_reference(self, name, jitter):
+        kwargs = {} if jitter is None else {"jitter": jitter}
+        for seed in (0, 7):
+            ig = build_scenario_indexed(name, n=512, seed=seed, **kwargs).ig
+            assert ig.num_edges > 2 * ig.num_nodes
+            self._assert_same(ig)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_small_integer_weights(self, seed):
+        n, eu, ev, w = _random_small_weight_graph(60, 400, seed)
+        assert len(eu) > 2 * n
+        self._assert_same(IndexedGraph.from_arrays(n, eu, ev, w))
+        self._assert_same(_shuffled_from_arrays(n, eu, ev, w, seed))
+
+    def test_dense_disconnected_raises(self):
+        # Two dense halves and no edge between them.
+        n, eu, ev, w = _random_small_weight_graph(30, 200, 3)
+        eu = np.concatenate([eu, np.asarray(eu) + n])
+        ev = np.concatenate([ev, np.asarray(ev) + n])
+        ig = IndexedGraph.from_arrays(2 * n, eu, ev, np.concatenate([w, w]))
+        assert ig.num_edges > 2 * ig.num_nodes
+        with pytest.raises(ValueError, match="disconnected"):
+            kruskal_mst_ids(ig)
+
     def test_single_node_is_empty(self):
         got = kruskal_mst_ids(IndexedGraph.from_arrays(1, [], [], []))
         assert got.dtype == np.int64 and got.shape == (0,)
@@ -534,6 +563,76 @@ class TestKruskalIds:
 # ---------------------------------------------------------------------------
 # IndexedTree vs RootedTree
 # ---------------------------------------------------------------------------
+
+
+def _level_bfs_reference(ig, root, tree_eids):
+    """Level-by-level BFS over the tree arcs, each frontier's arcs in CSR order.
+
+    The construction ``IndexedTree`` used before it moved to csgraph's BFS;
+    returns ``(levels, parent, parent_eid, depth)``.
+    """
+    n = ig.num_nodes
+    is_tree = np.zeros(ig.num_edges, dtype=bool)
+    is_tree[tree_eids] = True
+    parent = np.full(n, -1, dtype=np.int64)
+    parent_eid = np.full(n, -1, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[root] = True
+    parent[root] = root
+    indptr = ig.indptr.astype(np.int64)
+    levels = [np.array([root], dtype=np.int64)]
+    while True:
+        frontier = levels[-1]
+        counts = indptr[frontier + 1] - indptr[frontier]
+        slots = np.concatenate(
+            [np.arange(indptr[f], indptr[f + 1]) for f in frontier.tolist()]
+        ).astype(np.int64)
+        tails = np.repeat(frontier, counts)
+        keep = is_tree[ig.adj_edge[slots]]
+        slots, tails = slots[keep], tails[keep]
+        heads = ig.neighbors[slots].astype(np.int64)
+        fresh = ~seen[heads]
+        heads, slots, tails = heads[fresh], slots[fresh], tails[fresh]
+        if len(heads) == 0:
+            return levels, parent, parent_eid, depth
+        seen[heads] = True
+        parent[heads] = tails
+        parent_eid[heads] = ig.adj_edge[slots]
+        depth[heads] = len(levels)
+        levels.append(heads)
+
+
+def _subtree_counts_reference(tree, marks):
+    """Per-level ``np.add.at`` fold of integer marks, deepest level first."""
+    acc = np.array(marks, dtype=np.int64, copy=True)
+    for nodes in reversed(tree.levels[1:]):
+        np.add.at(acc, tree.parent[nodes], acc[nodes])
+    return acc
+
+
+def _tree_zoo():
+    """(ig, root, tree_eids) over every family plus random spanning trees."""
+    cases = []
+    for name, n in [
+        ("grid", 400),
+        ("power-law", 300),
+        ("augmented-cube", 256),
+        ("hypercube", 128),
+        ("isp-like", 300),
+        ("lower-bound-cycle", 200),
+    ]:
+        for seed in (0, 7):
+            inst = build_scenario_indexed(name, n=n, seed=seed)
+            cases.append((inst.ig, inst.root, kruskal_mst_ids(inst.ig)))
+    for seed in range(4):
+        # Non-MST spanning trees: the MST under reshuffled weights.
+        inst = build_scenario_indexed("grid", n=225, seed=seed)
+        ig = inst.ig
+        w = ensure_rng(seed).permutation(ig.edge_weights)
+        other = IndexedGraph.from_arrays(ig.num_nodes, ig.edge_u, ig.edge_v, w)
+        cases.append((ig, int(ensure_rng(seed).integers(ig.num_nodes)), kruskal_mst_ids(other)))
+    return cases
 
 
 @pytest.fixture(scope="module")
@@ -562,24 +661,26 @@ class TestIndexedTree:
         for a, b, l in zip(us.tolist(), vs.tolist(), got.tolist()):
             assert ig.labels[l] == rtree.lca(ig.labels[a], ig.labels[b])
 
-    @pytest.mark.parametrize("shape", ["path", "fork"])
+    @pytest.mark.parametrize("shape", ["path", "fork", "star"])
     def test_deep_lca_matches_parent_walk(self, shape):
-        # "path": 3,000 nodes in a line from the root (height 2,999, every
-        # lifting level used).  "fork": two 1,500-node lines that meet at
-        # depth 50, so the descent phase needs the top (1,024) level.
+        # "path": 3,000 nodes in a line from the root (height 2,999).
+        # "fork": two 1,500-node lines that meet at depth 50.  "star": one
+        # hub with 2,999 children, so every query spans siblings.
         n = 3_000
         rng = ensure_rng(11)
         label = rng.permutation(n)  # position -> node id, so ids are scrambled
         parent_pos = np.arange(-1, n - 1)
         if shape == "fork":
             parent_pos[1_500] = 50
+        elif shape == "star":
+            parent_pos[1:] = 0
         ig = IndexedGraph.from_arrays(
             n, label[parent_pos[1:]], label[1:], np.ones(n - 1)
         )
         root = int(label[0])
         tree = IndexedTree(ig, root, np.arange(n - 1))
-        assert tree.height == (n - 1 if shape == "path" else 1_550)
-        assert tree._lift_table().shape[0] == tree.height.bit_length()
+        assert tree.height == {"path": n - 1, "fork": 1_550, "star": 1}[shape]
+        assert tree._rmq_table().shape == ((n - 1).bit_length(), n)
 
         def naive(a, b):
             while tree.depth[a] > tree.depth[b]:
@@ -630,6 +731,39 @@ class TestIndexedTree:
         bad[-1] = bad[0]  # duplicate edge: no longer spanning
         with pytest.raises(ValueError):
             IndexedTree(ig, 0, bad)
+
+    def test_matches_level_bfs(self):
+        for ig, root, eids in _tree_zoo():
+            tree = IndexedTree(ig, root, eids)
+            levels, parent, parent_eid, depth = _level_bfs_reference(ig, root, eids)
+            for got, ref in ((tree.parent, parent), (tree.parent_eid, parent_eid), (tree.depth, depth)):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            assert len(tree.levels) == len(levels)
+            for got, ref in zip(tree.levels, levels):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_preorder_intervals_are_subtrees(self):
+        for ig, root, eids in _tree_zoo():
+            tree = IndexedTree(ig, root, eids)
+            n = ig.num_nodes
+            assert sorted(tree.pos.tolist()) == list(range(n))
+            assert tree.pos[root] == 0 and tree.end[root] == n
+            # A child's interval nests inside its parent's, after its start.
+            nonroot = np.flatnonzero(tree.parent_eid >= 0)
+            up = tree.parent[nonroot]
+            assert (tree.pos[up] < tree.pos[nonroot]).all()
+            assert (tree.end[nonroot] <= tree.end[up]).all()
+
+    def test_subtree_counts_match_level_fold(self):
+        rng = ensure_rng(5)
+        for ig, root, eids in _tree_zoo():
+            tree = IndexedTree(ig, root, eids)
+            marks = rng.integers(-3, 4, size=ig.num_nodes)
+            got = tree.subtree_counts(marks)
+            ref = _subtree_counts_reference(tree, marks)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            sizes = tree.subtree_counts(np.ones(ig.num_nodes, dtype=np.int64))
+            assert (sizes == tree.end - tree.pos).all()
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +918,36 @@ class TestIndexedGreedy:
         assert (res.rounds, res.num_incidences) == (rounds, incidences)
         assert int(np.count_nonzero(res.subsidy_vector)) == subsidized
 
+    # perfbench scale-approx's three n = 10^5 instances (seed 101): SHA-256
+    # of the subsidy vector's then the tree edge ids' little-endian bytes,
+    # cost and lower bound as float.hex, rounds, incidences.
+    @pytest.mark.parametrize(
+        "name, seed, digest, cost, lower_bound, rounds, incidences",
+        [
+            ("grid", 2854911047,
+             "a7b5e9cdc03f8aa43aa20539e3039b7505a13a14e428411f4fd27d1faa2c381b",
+             "0x1.30bc27a4ddb0ep+16", "0x1.094fb702f48dep+12", 5, 198735),
+            ("power-law", 734150080,
+             "3c85785187051354e3f78ab70e454e55af679108ded89ea8ea5591e97fed0320",
+             "0x1.4a007890b7e3cp+15", "0x1.ac512dab8fd88p+10", 8, 199898),
+            ("augmented-cube", 1733431674,
+             "b50fd4280244ed9fd51d0562577777931d8d3a78e596a370ca63d4c0577db2c7",
+             "0x1.6e5a13b3e3e30p+15", "0x1.723a8df4bbffcp+11", 2, 1900516),
+        ],
+    )
+    def test_pinned_scale_instances(
+        self, name, seed, digest, cost, lower_bound, rounds, incidences
+    ):
+        inst = build_scenario_indexed(name, n=100_000, seed=seed)
+        res = solve_sne_greedy_indexed(inst.ig, inst.root)
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(res.subsidy_vector, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(res.tree_eids, dtype="<i8").tobytes())
+        assert h.hexdigest() == digest
+        assert (res.cost.hex(), res.certificate.lower_bound.hex()) == (cost, lower_bound)
+        assert (res.rounds, res.num_incidences) == (rounds, incidences)
+        assert res.verified and res.feasible
+
     def test_tree_only_instance_needs_no_subsidy(self):
         n = 50
         rng = ensure_rng(8)
@@ -793,6 +957,43 @@ class TestIndexedGreedy:
         assert res.verified and res.feasible
         assert res.cost == 0.0 and res.num_incidences == 0
         assert not res.subsidy_vector.any()
+
+    def test_max_rounds_falls_back_to_full_target(self):
+        inst = build_scenario_indexed("grid", n=2_000, seed=2)
+        ig = inst.ig
+        res = solve_sne_greedy_indexed(ig, inst.root, anytime=True, max_rounds=1)
+        assert res.feasible and res.verified
+        assert res.anytime.stopped == "max-rounds"
+        assert res.rounds == 1
+        # Every established tree edge fully subsidized, as on a deadline.
+        full = solve_sne_greedy_indexed(ig, inst.root, anytime=True, deadline=0.0)
+        assert res.subsidy_vector.tobytes() == full.subsidy_vector.tobytes()
+        assert res.certificate.upper_bound == res.cost == full.cost
+        assert res.anytime.iterates[-1] == (2, res.cost, res.certificate.lower_bound)
+        # With rounds to spare the same instance converges.
+        done = solve_sne_greedy_indexed(ig, inst.root, anytime=True)
+        assert done.anytime.stopped == "converged" and done.rounds > 1
+
+    def test_anytime_gap_check_bounds_once_per_round(self, monkeypatch):
+        import repro.subsidies.approx as approx
+
+        calls = []
+        real = approx.lagrangian_lower_bound
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(approx, "lagrangian_lower_bound", counted)
+        inst = build_scenario_indexed("grid", n=400, seed=3)
+        res = solve_sne_greedy_indexed(inst.ig, inst.root, anytime=True, target_gap=1e-12)
+        assert res.anytime.stopped == "converged" and res.rounds >= 1
+        assert len(calls) == res.rounds + 1  # one per round, one final
+        calls.clear()
+        state = build_scenario("grid", n=30, seed=5).mst_state()
+        res = solve_sne_greedy(state, bound="lagrangian", anytime=True, target_gap=1e-12)
+        assert res.rounds >= 1
+        assert len(calls) <= res.rounds + 1
 
     def test_deadline_bailout_is_always_feasible(self):
         inst = build_scenario_indexed("power-law", n=500, seed=6)

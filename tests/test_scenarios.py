@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -18,6 +19,7 @@ from repro.scenarios import (
     scenario_instances,
     scenario_names,
 )
+from repro.scenarios.families import _aq_edge_arrays
 
 FAMILIES = ("broadcast", "multicast", "general", "weighted", "directed")
 
@@ -91,6 +93,16 @@ class TestTopologies:
         assert aq.num_nodes == 8
         # AQ_d has (2d - 1) 2^(d-1) edges: 20 for d = 3, denser than Q_3
         assert aq.num_edges == 20
+
+    def test_augmented_cube_construction_never_repeats_an_edge(self):
+        # The kernel draws one weight per constructed edge, with no dedup.
+        for d in range(1, 17):
+            raw = _aq_edge_arrays(d)
+            assert len(raw) == (2 * d - 1) << (d - 1)
+            lo, hi = raw.min(axis=1), raw.max(axis=1)
+            assert (lo < hi).all() and hi.max() < 1 << d
+            keys = np.sort(lo * (1 << d) + hi)
+            assert not (keys[1:] == keys[:-1]).any()
 
     def test_power_law_has_hubs(self):
         g = build_scenario("power-law", n=30, seed=1, m=2).graph
