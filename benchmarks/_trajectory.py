@@ -1,8 +1,10 @@
 """Append-only benchmark trajectories: the ``BENCH_*.json`` files at the repo root.
 
 Each gated benchmark run appends one record, stamped with the host it ran
-on (CPU count, Python, numpy and scipy versions) so that records from
-different machines or toolchains are not compared as if alike.
+on (CPU count, Python, numpy and scipy versions, and the HiGHS version
+scipy bundles) so that records from different machines or toolchains are
+not compared as if alike.  LP (2)'s optimal vertex depends on how that
+HiGHS pivots, so its version is part of the toolchain.
 """
 
 import json
@@ -13,6 +15,8 @@ from pathlib import Path
 import numpy
 import scipy
 
+from repro.lp.backends.highs import HIGHS_VERSION
+
 
 def host_info() -> dict:
     return {
@@ -20,6 +24,7 @@ def host_info() -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
+        "highs": HIGHS_VERSION,
     }
 
 

@@ -257,12 +257,14 @@ def solve_sne_cutting_plane(
     broadcast_only=False,
     requires_tree_state=False,
     aliases=("sne-lp2",),
-    # version 5: HiGHS runs without presolve (an answer can move to another
-    # optimal vertex at equal budget); all-terminal multicast targets the MST
-    # (version 4: LP backend registry — backend name joined the metadata,
-    # certify=True exact-certifies the full LP (2);
+    # version 6: potentials shifted to y = d - pi, so the simplex starts at
+    # the b = 0 shortest-path distances (the answer can move to another
+    # optimal vertex at equal budget)
+    # (version 5: HiGHS runs without presolve; all-terminal multicast
+    # targets the MST; version 4: LP backend registry — backend name joined
+    # the metadata, certify=True exact-certifies the full LP (2);
     # version 3: sparse incremental row construction and profile counters)
-    version="5",
+    version="6",
 )
 def solve_sne_poly(
     instance: AnyInstance,

@@ -54,9 +54,26 @@ from repro.utils.tolerances import EQ_TOL, is_improvement
 #: player simply falls through to the exact per-player query
 _CERT_SLACK = 1e-12
 
+#: incidences per Lemma 2 certificate chunk: a chunk's slots are built the
+#: first time a pass reaches it
+_CERT_CHUNK = 1024
+
+#: slots a certificate block may hold regardless of how unequal its rows
+#: are: below this, one numpy call more costs more than the padding
+_CERT_BLOCK = 4096
+
 #: any bindable target state (weighted / directed states carry a
 #: ``binding_kind = "rule"`` marker and dispatch to :class:`_RuleBinding`)
 AnyState = Union[State, TreeState]
+
+
+def _padded_rows(rows: List[List[int]], pad: int) -> np.ndarray:
+    """``rows`` as one int32 matrix, each row padded with ``pad`` (width >= 1)."""
+    lengths = np.array([len(row) for row in rows])
+    width = max(1, int(lengths.max()))
+    out = np.full((len(rows), width), pad, dtype=np.int32)
+    out[np.arange(width) < lengths[:, None]] = [e for row in rows for e in row]
+    return out
 
 
 def _walk_path_back(
@@ -405,6 +422,8 @@ class _TreeBinding(_StateBinding):
                 if e not in tree_eids:
                     incidences.append((uid, nbrs[k], e))
         self._incidences = incidences
+        #: certificate slots per chunk of incidences (see _lemma2_certified)
+        self._cert_chunks: List[List[Tuple[np.ndarray, np.ndarray]]] = []
 
     def current_path_eids(self, position: int) -> List[int]:
         eids = self._own_path_cache.get(position)
@@ -430,7 +449,7 @@ class _TreeBinding(_StateBinding):
             self._own_patch_cache[position] = pairs
         return pairs
 
-    def _lemma2_certified(self, wb_l: List[float], usage_l: List[int]) -> bool:
+    def _lemma2_certified(self, wb: np.ndarray) -> bool:
         """True when *no* player has an improving deviation, Dijkstra-free.
 
         Evaluates the Lemma 2 incidence constraints — the exact rows
@@ -445,40 +464,101 @@ class _TreeBinding(_StateBinding):
         broadcast separation oracle's verification rounds from one
         shortest-path search per player to none at all.
 
+        Each side is a ``cumsum`` along its row of :meth:`_lemma2_blocks`,
+        so it adds the same terms in the same order as a walk from ``u``
+        and ``v`` up to the LCA, and every comparison is bit-for-bit the
+        walk's.
+
         The comparison uses zero slack where the equilibrium checker
         allows ``tol``: the certificate only fires when every constraint
         holds outright, so a borderline scan falls through to the exact
         per-player searches and tolerance semantics never change.
         """
+        m = self.engine.num_edges
+        # value slots: [0, m) current shares w/n, [m, 2m) joining shares
+        # w/(n + 1), [2m, 3m) net weights, 3m the padding 0.0.  Shares of
+        # edges no player uses (n = 0) are never read.
+        vals = np.empty(3 * m + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(wb, self.usage, out=vals[:m])
+        np.divide(wb, self._denom_join, out=vals[m : 2 * m])
+        vals[2 * m : 3 * m] = wb
+        vals[3 * m] = 0.0
+        incidences = self._incidences
+        chunks = self._cert_chunks
+        for k, start in enumerate(range(0, len(incidences), _CERT_CHUNK)):
+            # Chunks are built on first use, so a pass that meets a
+            # violation early never walks the incidences after it.
+            if k == len(chunks):
+                chunks.append(self._lemma2_blocks(incidences[start : start + _CERT_CHUNK]))
+            for lhs_slots, rhs_slots in chunks[k]:
+                lhs = np.cumsum(vals[lhs_slots], axis=1)[:, -1]
+                rhs = np.cumsum(vals[rhs_slots], axis=1)[:, -1]
+                # _CERT_SLACK absorbs float noise on *tight* constraints
+                # (the LP optimum sits exactly on several of them); even
+                # composed across every incidence of a deviation path it
+                # stays orders of magnitude below the checker's
+                # improvement tolerance.
+                scale = np.maximum(np.maximum(lhs, 1.0), np.abs(rhs))
+                if (lhs > rhs + _CERT_SLACK * scale).any():
+                    return False
+        return True
+
+    def _lemma2_blocks(
+        self, incidences: List[Tuple[int, int, int]]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Value slots of the two sides of ``incidences``, in blocks.
+
+        In a block ``(lhs_slots, rhs_slots)``, row ``r`` of ``lhs_slots``
+        lists the current shares of ``u``'s tree path from ``u`` up to
+        ``lca(u, v)``, and row ``r`` of ``rhs_slots`` the net weight of
+        ``(u, v)`` and then the joining shares of ``v``'s path, each in
+        walk order and padded with the 0.0 slot.  Incidences are sorted
+        by path length and cut into blocks whose rows at most double in
+        length (or that stay within ``_CERT_BLOCK`` slots), so the int32
+        slots take at most about twice the walks' total length.
+        """
+        m = self.engine.num_edges
         depth = self.depth
         parent_nid = self.parent_nid
         parent_eid = self.parent_eid
-        for uid, vid, e_uv in self._incidences:
+        sides: List[Tuple[List[int], List[int]]] = []
+        for uid, vid, e_uv in incidences:
             x, y = uid, vid
-            lhs = 0.0  # u's shares from u down to the LCA
-            rhs = wb_l[e_uv]  # deviation: pay (u, v), then join v's path
+            lhs = []
+            rhs = [2 * m + e_uv]
             while depth[x] > depth[y]:
-                e = parent_eid[x]
-                lhs += wb_l[e] / usage_l[e]
+                lhs.append(parent_eid[x])
                 x = parent_nid[x]
             while depth[y] > depth[x]:
-                e = parent_eid[y]
-                rhs += wb_l[e] / (usage_l[e] + 1)
+                rhs.append(m + parent_eid[y])
                 y = parent_nid[y]
             while x != y:
-                e = parent_eid[x]
-                lhs += wb_l[e] / usage_l[e]
+                lhs.append(parent_eid[x])
                 x = parent_nid[x]
-                e = parent_eid[y]
-                rhs += wb_l[e] / (usage_l[e] + 1)
+                rhs.append(m + parent_eid[y])
                 y = parent_nid[y]
-            # _CERT_SLACK absorbs float noise on *tight* constraints (the
-            # LP optimum sits exactly on several of them); even composed
-            # across every incidence of a deviation path it stays orders
-            # of magnitude below the checker's improvement tolerance.
-            if lhs > rhs + _CERT_SLACK * max(1.0, lhs, abs(rhs)):
-                return False
-        return True
+            sides.append((lhs, rhs))
+        sides.sort(key=lambda pair: len(pair[0]) + len(pair[1]))
+        lengths = [len(lhs) + len(rhs) for lhs, rhs in sides]
+        blocks = []
+        start = 0
+        while start < len(sides):
+            stop = start + 1
+            while stop < len(sides) and (
+                lengths[stop] <= 2 * lengths[start]
+                or (stop + 1 - start) * lengths[stop] <= _CERT_BLOCK
+            ):
+                stop += 1
+            chunk = sides[start:stop]
+            blocks.append(
+                (
+                    _padded_rows([lhs for lhs, _ in chunk], 3 * m),
+                    _padded_rows([rhs for _, rhs in chunk], 3 * m),
+                )
+            )
+            start = stop
+        return blocks
 
     def _costs_to_root(self, wb: np.ndarray) -> List[float]:
         """Player cost at every node, accumulated root-down (O(n))."""
@@ -522,7 +602,7 @@ class _TreeBinding(_StateBinding):
                 continue
             actives.append((pos, key, uid, cur))
 
-        if improving_only and actives and self._lemma2_certified(wb_l, usage_l):
+        if improving_only and actives and self._lemma2_certified(wb):
             # Lemma 2: every incidence constraint holds, so no player has
             # any improving deviation — the whole scan needs no searches.
             stats.players_batched += len(actives)

@@ -15,6 +15,10 @@ store:
   matrices — bit-identical answers to the public ``linprog`` path), with
   ``linprog`` as the drift-safe fallback.
 
+The cold dense path enters the core through the same helper
+(:func:`_solve_core`), so dense and sparse programs see one HiGHS entry
+and ``linprog`` only runs when scipy's internals drift.
+
 Every path runs HiGHS with presolve off: on the subsidy LPs it removes
 almost nothing yet costs about half of each LP (2) solve, at unchanged
 dual-simplex iteration counts (``docs/lp-backends.md``, "HiGHS
@@ -27,6 +31,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from repro.lp.problem import LinearProgram, LPResult, LPStatus
@@ -73,6 +78,7 @@ def _capture_highs_direct():
         options.simplex_strategy = int(glue.s_c.SimplexStrategy.kSimplexStrategyDual)
         return {
             "core": core,
+            "version": _core_version(core),
             "inf": glue.kHighsInf,
             "to_scipy": glue._highs_to_scipy_status_message,
             "options": options,
@@ -83,18 +89,95 @@ def _capture_highs_direct():
         return None
 
 
+def _core_version(core) -> Optional[str]:
+    try:
+        return (
+            f"{core.HIGHS_VERSION_MAJOR}.{core.HIGHS_VERSION_MINOR}."
+            f"{core.HIGHS_VERSION_PATCH}"
+        )
+    except AttributeError:  # pragma: no cover - exercised only on scipy drift
+        return None
+
+
 _HIGHS_DIRECT = _capture_highs_direct()
 
+#: version of the HiGHS library scipy bundles, read from the captured core
+#: (``None`` when scipy's internals drift).  LP (2)'s optimal vertex
+#: depends on how this library pivots, so benchmark records carry it.
+HIGHS_VERSION: Optional[str] = (
+    _HIGHS_DIRECT["version"] if _HIGHS_DIRECT is not None else None
+)
 
-def solve_dense(problem: LinearProgram, max_iter: int = 20_000) -> LPResult:
-    """One cold HiGHS solve of a dense :class:`LinearProgram`."""
-    A, b = problem.matrices()
-    bounds = list(zip(problem.lower, problem.upper))
+
+def _solve_core(
+    direct: dict,
+    c: np.ndarray,
+    lb: np.ndarray,
+    ub: np.ndarray,
+    A,
+    rhs: np.ndarray,
+) -> LPResult:
+    """One HiGHS solve of ``min c x, A x <= rhs, lb <= x <= ub`` (see above).
+
+    ``A`` is a CSC matrix and the bounds already carry HiGHS's infinity.
+    Raises on anything the core rejects; callers fall back to ``linprog``.
+    """
+    core = direct["core"]
+    inf = direct["inf"]
+    m, n = A.shape
+    if A.nnz >= 2**31:
+        raise OverflowError("HiGHS indexes the matrix with 32-bit integers")
+    highs = core._Highs()
+    if highs.passOptions(direct["options"]) == core.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the prebuilt options")
+    # One call hands the numpy arrays over; filling HighsLp fields
+    # instead copies them element by element.  An empty integrality
+    # array is rejected, so every column is marked continuous.
+    status = highs.passModel(
+        n,
+        m,
+        A.nnz,
+        direct["colwise"],
+        direct["minimize"],
+        0.0,
+        c,
+        lb,
+        ub,
+        np.full(m, -inf),
+        rhs,
+        A.indptr[:-1].astype(np.int32),
+        A.indices.astype(np.int32),
+        A.data,
+        np.zeros(n, dtype=np.int32),
+    )
+    if status == core.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the model")
+    highs.run()
+    model_status = highs.getModelStatus()
+    if model_status != core.HighsModelStatus.kOptimal:
+        scipy_status, _msg = direct["to_scipy"](
+            model_status, highs.modelStatusToString(model_status)
+        )
+        return LPResult(_SCIPY_STATUS.get(scipy_status, LPStatus.INFEASIBLE))
+    solution = highs.getSolution()
+    info = highs.getInfo()
+    x = np.asarray(solution.col_value, dtype=float)
+    return LPResult(LPStatus.OPTIMAL, x=x, objective=float(info.objective_function_value))
+
+
+def _core_bounds(direct: dict, lower: np.ndarray, upper: np.ndarray):
+    """``(lb, ub)`` with infinities replaced by HiGHS's own."""
+    inf = direct["inf"]
+    return np.where(np.isinf(lower), -inf, lower), np.where(np.isinf(upper), inf, upper)
+
+
+def _linprog(c, A, b, lower, upper) -> LPResult:
+    """The public ``linprog`` solve: the fallback when scipy's internals drift."""
     res = linprog(
-        problem.c,
-        A_ub=A if A.size else None,
-        b_ub=b if b.size else None,
-        bounds=bounds,
+        c,
+        A_ub=A,
+        b_ub=b,
+        bounds=list(zip(lower, upper)),
         method="highs",
         options=_LINPROG_OPTIONS,
     )
@@ -103,6 +186,25 @@ def solve_dense(problem: LinearProgram, max_iter: int = 20_000) -> LPResult:
         return LPResult(status)
     x = np.asarray(res.x, dtype=float)
     return LPResult(LPStatus.OPTIMAL, x=x, objective=float(res.fun))
+
+
+def solve_dense(problem: LinearProgram, max_iter: int = 20_000) -> LPResult:
+    """One cold HiGHS solve of a dense :class:`LinearProgram`."""
+    A, b = problem.matrices()
+    direct = _HIGHS_DIRECT
+    if direct is not None:
+        try:
+            lb, ub = _core_bounds(direct, problem.lower, problem.upper)
+            return _solve_core(direct, problem.c, lb, ub, sp.csc_matrix(A), b)
+        except Exception:  # scipy drift safety net
+            pass
+    return _linprog(
+        problem.c,
+        A if A.size else None,
+        b if b.size else None,
+        problem.lower,
+        problem.upper,
+    )
 
 
 class HighsSession:
@@ -127,77 +229,23 @@ class HighsSession:
         if direct is not None:
             try:
                 return self._solve_direct(direct), False
-            except Exception:  # pragma: no cover - scipy drift safety net
+            except Exception:  # scipy drift safety net
                 pass
-        A = inc.sparse_matrix() if inc._m else None
-        bounds = list(zip(inc.lower, inc.upper))
-        res = linprog(
+        result = _linprog(
             inc.c,
-            A_ub=A,
-            b_ub=np.asarray(inc._rhs, dtype=float) if inc._m else None,
-            bounds=bounds,
-            method="highs",
-            options=_LINPROG_OPTIONS,
+            inc.sparse_matrix() if inc._m else None,
+            np.asarray(inc._rhs, dtype=float) if inc._m else None,
+            inc.lower,
+            inc.upper,
         )
-        status = _SCIPY_STATUS.get(res.status, LPStatus.INFEASIBLE)
-        if status is not LPStatus.OPTIMAL:
-            return LPResult(status), False
-        x = np.asarray(res.x, dtype=float)
-        return LPResult(LPStatus.OPTIMAL, x=x, objective=float(res.fun)), False
+        return result, False
 
     def _solve_direct(self, direct: dict) -> LPResult:
         """One HiGHS solve through the captured core handles (see above)."""
         inc = self._inc
-        core = direct["core"]
-        inf = direct["inf"]
         if self._highs_bounds is None:
             # Bounds are fixed at construction; replace infinities once.
-            self._highs_bounds = (
-                np.where(np.isinf(inc.lower), -inf, inc.lower),
-                np.where(np.isinf(inc.upper), inf, inc.upper),
-            )
+            self._highs_bounds = _core_bounds(direct, inc.lower, inc.upper)
         lb, ub = self._highs_bounds
         A = inc.sparse_matrix().tocsc()
-        m = inc._m
-        n = inc.n_vars
-        if A.nnz >= 2**31:
-            raise OverflowError("HiGHS indexes the matrix with 32-bit integers")
-
-        highs = core._Highs()
-        if highs.passOptions(direct["options"]) == core.HighsStatus.kError:
-            raise RuntimeError("HiGHS rejected the prebuilt options")
-        # One call hands the numpy arrays over; filling HighsLp fields
-        # instead copies them element by element.  An empty integrality
-        # array is rejected, so every column is marked continuous.
-        status = highs.passModel(
-            n,
-            m,
-            A.nnz,
-            direct["colwise"],
-            direct["minimize"],
-            0.0,
-            inc.c,
-            lb,
-            ub,
-            np.full(m, -inf),
-            np.asarray(inc._rhs, dtype=float),
-            A.indptr[:-1].astype(np.int32),
-            A.indices.astype(np.int32),
-            A.data,
-            np.zeros(n, dtype=np.int32),
-        )
-        if status == core.HighsStatus.kError:
-            raise RuntimeError("HiGHS rejected the model")
-        highs.run()
-        model_status = highs.getModelStatus()
-        if model_status != core.HighsModelStatus.kOptimal:
-            scipy_status, _msg = direct["to_scipy"](
-                model_status, highs.modelStatusToString(model_status)
-            )
-            return LPResult(_SCIPY_STATUS.get(scipy_status, LPStatus.INFEASIBLE))
-        solution = highs.getSolution()
-        info = highs.getInfo()
-        x = np.asarray(solution.col_value, dtype=float)
-        return LPResult(
-            LPStatus.OPTIMAL, x=x, objective=float(info.objective_function_value)
-        )
+        return _solve_core(direct, inc.c, lb, ub, A, np.asarray(inc._rhs, dtype=float))

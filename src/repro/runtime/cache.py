@@ -27,6 +27,7 @@ go through ``os.replace``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -34,7 +35,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Union
 
-from repro.utils.hashing import stable_hash
+from repro.utils.hashing import canonical_json, stable_hash
 
 JSONDict = Dict[str, Any]
 
@@ -79,32 +80,53 @@ def default_cache_dir() -> Path:
     return base / "repro"
 
 
+def instance_key_state(instance: JSONDict) -> "hashlib._Hash":
+    """The SHA-256 state of every :func:`solve_job_key` text up to ``instance``.
+
+    The key hashes the canonical JSON of ``{"instance": ..., "kind": ...,
+    "opts": ..., "schema": ..., "solver": ..., "solver_version": ...}``,
+    and ``"instance"`` sorts first, so that text starts with
+    ``{"instance":`` and the instance's own canonical JSON.  Passing this
+    state to :func:`solve_job_key` encodes an instance once for all the
+    solvers of its grid cell.
+    """
+    return hashlib.sha256(('{"instance":' + canonical_json(instance)).encode("utf-8"))
+
+
 def solve_job_key(
     instance: JSONDict,
     solver: str,
     solver_version: str,
     opts: Optional[Mapping[str, Any]] = None,
+    instance_state: Optional["hashlib._Hash"] = None,
 ) -> str:
     """Content hash identifying one (instance, solver, options) cell.
 
     ``instance`` is the serialized game payload
     (:func:`repro.api.serialize.game_to_json`), which is canonical for a
     given game, so logically-equal instances share cache cells no matter
-    where they were generated.  Raises
-    :class:`repro.utils.hashing.UnhashablePayloadError` when ``opts``
-    contains values that cannot be hashed deterministically (such jobs run
-    uncached).
+    where they were generated.  ``instance_state`` is
+    :func:`instance_key_state` of ``instance``, when the caller already
+    has it; the key is :func:`~repro.utils.hashing.stable_hash` of the
+    whole cell either way.  Raises
+    :class:`repro.utils.hashing.UnhashablePayloadError` when the instance
+    or ``opts`` contain values that cannot be hashed deterministically
+    (such jobs run uncached).
     """
-    return stable_hash(
+    rest = canonical_json(
         {
             "kind": "solve-job",
             "schema": CACHE_SCHEMA_VERSION,
-            "instance": instance,
             "solver": solver,
             "solver_version": solver_version,
             "opts": dict(opts or {}),
         }
     )
+    if instance_state is None:
+        instance_state = instance_key_state(instance)
+    h = instance_state.copy()
+    h.update(("," + rest[1:]).encode("utf-8"))
+    return h.hexdigest()
 
 
 def experiment_job_key(experiment_id: str, seed: int, source_digest: str) -> str:

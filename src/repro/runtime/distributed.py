@@ -84,7 +84,7 @@ from repro.runtime.runner import (
     dump_job_record,
     job_record,
     store_solve_entry,
-    sweep_job_key,
+    sweep_job_keys,
     write_sweep_json,
 )
 from repro.runtime.spec import SweepJob
@@ -682,9 +682,7 @@ class SweepCoordinator:
         )
         self.started_at = time.monotonic()
         self._started_wall = time.time()
-        self.keys: Dict[int, Optional[str]] = {
-            job.index: sweep_job_key(job) for job in self.jobs
-        }
+        self.keys: Dict[int, Optional[str]] = sweep_job_keys(self.jobs)
         self.folder = OutcomeFolder(
             self.jobs, self.keys, self.cache, json_out=json_out, progress=progress
         )

@@ -46,7 +46,13 @@ from typing import (
     Union,
 )
 
-from repro.runtime.cache import AnyCache, cached_entry, coerce_cache, solve_job_key
+from repro.runtime.cache import (
+    AnyCache,
+    cached_entry,
+    coerce_cache,
+    instance_key_state,
+    solve_job_key,
+)
 from repro.runtime.spec import SweepJob, jobs_from_instances
 from repro.runtime.workers import run_solve_job
 from repro.utils.hashing import UnhashablePayloadError
@@ -112,20 +118,32 @@ def store_solve_entry(
         pass  # unwritable cache degrades to uncached, not a crash
 
 
-def sweep_job_key(job: SweepJob) -> Optional[str]:
-    """The content-address of one sweep cell, or ``None`` when uncacheable.
+def sweep_job_keys(jobs: Sequence[SweepJob]) -> Dict[int, Optional[str]]:
+    """The content-address of every sweep cell by job index (``None`` when
+    uncacheable).
 
-    Validates the solver name against the registry as a side effect
+    Validates every solver name against the registry as a side effect
     (raising :class:`~repro.api.registry.UnknownSolverError` up front,
-    before any work is scheduled).
+    before any work is scheduled).  The jobs of one grid cell share their
+    instance payload, so each payload is encoded once
+    (:func:`~repro.runtime.cache.instance_key_state`) for all its solvers.
     """
     from repro.api.registry import get_solver
 
-    spec = get_solver(job.solver)
-    try:
-        return solve_job_key(job.instance, spec.name, spec.version, job.opts)
-    except UnhashablePayloadError:
-        return None  # runnable, just not cacheable
+    states: Dict[int, Any] = {}
+    keys: Dict[int, Optional[str]] = {}
+    for job in jobs:
+        spec = get_solver(job.solver)
+        try:
+            state = states.get(id(job.instance))
+            if state is None:
+                state = states[id(job.instance)] = instance_key_state(job.instance)
+            keys[job.index] = solve_job_key(
+                job.instance, spec.name, spec.version, job.opts, state
+            )
+        except UnhashablePayloadError:
+            keys[job.index] = None  # runnable, just not cacheable
+    return keys
 
 
 #: pool respawns tolerated per execute_payloads call before giving up
@@ -459,11 +477,6 @@ class SweepRunner:
         self.timeout = timeout
         self.progress = progress
 
-    # -- key computation ----------------------------------------------------
-
-    def _key_of(self, job: SweepJob) -> Optional[str]:
-        return sweep_job_key(job)
-
     def _store(
         self, job: SweepJob, key: str, report: Optional[JSONDict], elapsed: float
     ) -> None:
@@ -478,7 +491,7 @@ class SweepRunner:
         done = 0
         outcomes: Dict[int, JobOutcome] = {}
         misses: List[SweepJob] = []
-        keys: Dict[int, Optional[str]] = {}
+        keys = sweep_job_keys(sweep_jobs)
 
         def finish(outcome: JobOutcome) -> None:
             nonlocal done
@@ -487,9 +500,9 @@ class SweepRunner:
             if self.progress is not None:
                 self.progress(outcome, done, total)
 
-        # 1. cache pass (also validates every solver name up front)
+        # 1. cache pass (the keys validated every solver name up front)
         for job in sweep_jobs:
-            key = keys[job.index] = self._key_of(job)
+            key = keys[job.index]
             entry = cached_entry(self.cache, key)
             if entry is not None:
                 finish(

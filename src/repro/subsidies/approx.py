@@ -661,16 +661,38 @@ def solve_sne_greedy_indexed(
     V = np.concatenate([nv, nu]).astype(np.int64)
     Wc = np.concatenate([w[nontree], w[nontree]])
     keep = (U != root) & (mult[U] > 0)
-    # lca is symmetric: solve each non-tree edge once, reuse for both rows.
+    # lca is symmetric: solve each non-tree edge once and serve both rows
+    # from it; L covers one half of U/V/Wc, so p[L] is gathered once per
+    # pass and applied to either half.
     L = tree.lca(nu, nv)
-    L = np.concatenate([L, L])
+    halves = (slice(0, len(L)), slice(len(L), None))
     del nu, nv
+
+    def _lca_rows(mask: np.ndarray) -> np.ndarray:
+        """lca of every incidence selected by ``mask`` (over both halves)."""
+        return np.concatenate([L[mask[half]] for half in halves])
+
+    def _slacks(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+        """``Wc + (p2[V] - p2[L]) - (p1[U] - p1[L])`` per incidence."""
+        pl1, pl2 = p1[L], p2[L]
+        out = np.empty(len(U))
+        for half in halves:
+            out[half] = Wc[half] + (p2[V[half]] - pl2) - (p1[U[half]] - pl1)
+        return out
 
     # Row constants at b = 0 (rows are fixed linear constraints; their
     # deficits don't move as subsidies grow).
     p1_0 = tree.prefix_sum_edges(w * inv_own)
     p2_0 = tree.prefix_sum_edges(w * inv_dev)
-    deficit0 = (p1_0[U] - p1_0[L]) - (p2_0[V] - p2_0[L]) - Wc if len(U) else Wc
+    deficit0 = Wc
+    if len(U):
+        pl1, pl2 = p1_0[L], p2_0[L]
+        deficit0 = np.empty(len(U))
+        for half in halves:
+            deficit0[half] = (
+                (p1_0[U[half]] - pl1) - (p2_0[V[half]] - pl2) - Wc[half]
+            )
+        del pl1, pl2
 
     established = tree_eids[loads[tree_eids] > 0]
     ub_fallback = float(w[established].sum())
@@ -703,7 +725,7 @@ def solve_sne_greedy_indexed(
             wn = w - b
             p1 = tree.prefix_sum_edges(wn * inv_own)
             p2 = tree.prefix_sum_edges(wn * inv_dev)
-        slack = Wc + (p2[V] - p2[L]) - (p1[U] - p1[L]) if len(U) else Wc
+        slack = _slacks(p1, p2) if len(U) else Wc
         viol = keep & (slack < -tol) if len(U) else np.zeros(0, dtype=bool)
         if not bool(viol.any()):
             break
@@ -714,8 +736,9 @@ def solve_sne_greedy_indexed(
         # Pool each violated row once for the Lagrangian certificate.
         new = viol & ~pooled & (deficit0 > 0)
         if bool(new.any()):
-            cnt_own = _mark_paths(U[new], L[new])
-            cnt_dev = _mark_paths(V[new], L[new])
+            l_new = _lca_rows(new)
+            cnt_own = _mark_paths(U[new], l_new)
+            cnt_dev = _mark_paths(V[new], l_new)
             nz = np.flatnonzero(cnt_own | cnt_dev)
             nz = nz[nz != root]
             eids = pe[nz]
@@ -723,7 +746,7 @@ def solve_sne_greedy_indexed(
             total_deficit += float(deficit0[new].sum())
         pooled |= viol
         # Greedy step: fully subsidize every violated own subpath.
-        cnt = _mark_paths(U[viol], L[viol])
+        cnt = _mark_paths(U[viol], _lca_rows(viol))
         hit = np.flatnonzero(cnt > 0)
         hit = hit[hit != root]
         b[pe[hit]] = w[pe[hit]]

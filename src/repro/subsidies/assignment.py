@@ -26,7 +26,10 @@ class SubsidyAssignment(Mapping):
     values:
         Edge-to-amount mapping; near-zero round-off (within ``tol``) is
         clipped into the valid range rather than rejected, since most
-        assignments come out of an LP solver.
+        assignments come out of an LP solver.  An entry in ``[-tol, 0]``
+        is zero up to round-off and is dropped before any other check
+        (an LP vector is mostly such entries), so it need not name a
+        graph edge.
     """
 
     def __init__(
@@ -38,11 +41,13 @@ class SubsidyAssignment(Mapping):
         self.graph = graph
         data: Dict[Edge, float] = {}
         for (u, v), b in values.items():
+            bf = float(b)
+            if -tol <= bf <= 0.0:
+                continue
             e = canonical_edge(u, v)
             if not graph.has_edge(*e):
                 raise ValueError(f"subsidized edge {e!r} is not a graph edge")
             w = graph.weight(*e)
-            bf = float(b)
             if bf < -tol * max(1.0, w) or bf > w + tol * max(1.0, w):
                 raise ValueError(f"subsidy {bf} on edge {e!r} outside [0, {w}]")
             bf = min(max(bf, 0.0), w)

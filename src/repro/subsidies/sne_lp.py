@@ -1,12 +1,17 @@
 """STABLE NETWORK ENFORCEMENT via linear programming (Theorem 1, Lemma 2).
 
-Three formulations, exactly as in the paper:
+Three formulations, as in the paper, with LP (2) up to ``pi = d - y``:
 
 * **LP (1)** — one constraint per player-deviation path (exponentially
   many), solved by constraint generation with the paper's shortest-path
   separation oracle (:func:`solve_sne_cutting_plane_lp1`).
 * **LP (2)** — the polynomial-size reformulation with shortest-path
-  potential variables ``pi_i(v)`` (:func:`solve_sne_polynomial_lp2`).
+  potential variables ``pi_i(v)`` (:func:`solve_sne_polynomial_lp2`),
+  written in ``y_i(v) = d_i(v) - pi_i(v)`` with ``d_i`` the player's
+  distances at ``b = 0``.  It is the same LP (any feasible ``pi`` lies
+  below ``d``), but the simplex then starts from the ``b = 0``
+  potentials instead of raising every ``pi`` from 0, which saves most
+  of its iterations (:func:`build_polynomial_lp2`).
 * **LP (3)** — the broadcast-specific LP with one constraint per non-tree
   edge incidence (:func:`solve_sne_broadcast_lp3`), whose correctness is
   Lemma 2.
@@ -24,6 +29,8 @@ below while the converged float solution brackets it from above.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -40,7 +47,6 @@ from repro.lp import (
     solve_lp,
     solve_with_cutting_planes,
 )
-from repro.lp.incremental import sparse_row
 from repro.games.broadcast import TreeState
 from repro.games.engine import BestResponseEngine, _StateBinding
 from repro.games.equilibrium import check_equilibrium
@@ -351,22 +357,100 @@ def solve_sne_cutting_plane_lp1(
 # ---------------------------------------------------------------------------
 
 
+def _deviator_distances(
+    n_nodes: int,
+    sources: np.ndarray,
+    tail: np.ndarray,
+    head: np.ndarray,
+    cost: np.ndarray,
+) -> np.ndarray:
+    """Every player's shortest-path distances at ``b = 0``, as (players, nodes).
+
+    ``cost[i, k]`` prices arc ``tail[k] -> head[k]`` for player ``i`` (the
+    deviator pricing of LP (2)'s arc rows).  One Dijkstra runs over the
+    block-diagonal graph of players x nodes: the blocks share no arc, so
+    block ``i`` holds player ``i``'s distances from ``sources[i]``, and
+    ``inf`` where the player cannot reach.  A distance is exactly the
+    float64 sum ``d(tail) + cost`` over the last arc of its path.
+    """
+    n_players, n_arcs = cost.shape
+    if not n_players:
+        return np.empty((0, n_nodes))
+    # Imported here: csgraph is not otherwise loaded by ``import repro``.
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import dijkstra
+
+    order = np.argsort(tail, kind="stable")
+    starts = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=n_nodes), out=starts[1:])
+    block = np.arange(n_players, dtype=np.int64)[:, None]
+    indptr = np.append((block * n_arcs + starts[:-1]).ravel(), n_players * n_arcs)
+    indices = (block * n_nodes + head[order]).ravel()
+    size = n_players * n_nodes
+    graph = sp.csr_matrix((cost[:, order].ravel(), indices, indptr), shape=(size, size))
+    dist = dijkstra(graph, indices=block.ravel() * n_nodes + sources, min_only=True)
+    return dist.reshape(n_players, n_nodes)
+
+
+def _heap_distances(
+    n_nodes: int, source: int, arcs: List[Tuple[int, int, int, float, float]]
+) -> List[float]:
+    """One player's distances from ``source`` over ``(edge column, tail,
+    head, coefficient, cost)`` arcs, ``inf`` where it cannot reach.
+
+    A plain heap Dijkstra: the reference build's own account of what
+    :func:`_deviator_distances` computes for all players at once.
+    """
+    out: List[List[Tuple[int, float]]] = [[] for _ in range(n_nodes)]
+    for _col, tail, head, _coef, cost in arcs:
+        out[tail].append((head, cost))
+    dist = [math.inf] * n_nodes
+    dist[source] = 0.0
+    done = [False] * n_nodes
+    heap = [(0.0, source)]
+    while heap:
+        d_u, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, cost in out[u]:
+            d_v = d_u + cost
+            if d_v < dist[v]:
+                dist[v] = d_v
+                heapq.heappush(heap, (d_v, v))
+    return dist
+
+
 def build_polynomial_lp2(
     state: AnyState, fast: bool = True
 ) -> Tuple[Union[IncrementalLP, LinearProgram], List[Edge]]:
-    """Materialize LP (2) for a target state.
+    """Materialize LP (2) for a target state, in shifted potentials.
 
-    Variables: ``b_a`` for every edge (in the returned edge order) plus
-    ``pi_i(v)`` for every player and node.  Per player, one row per
+    Variables: ``b_a`` for every edge (in the returned edge order) plus one
+    potential column per player and node.  Per player, one row per
     allowed arc, in ``graph.edges()`` order with the directions ``(u, v)``
     then ``(v, u)``, followed by the player's path row.
 
-    With ``fast`` (the default) each player's arc rows are computed as
-    numpy arrays, with the same float operations in the same order as a
-    row-by-row build, and the whole LP is appended to a sparse
-    :class:`~repro.lp.incremental.IncrementalLP` as one CSR block; its
-    buffers are byte-identical to appending the rows one at a time.
-    ``fast=False`` keeps the dense row-by-row reference build.
+    A potential column holds ``y_i(v) = d_i(v) - pi_i(v)`` with bounds
+    ``0 <= y_i(v) <= d_i(v)``, where ``d_i`` is player ``i``'s distance
+    under deviator pricing at ``b = 0`` (:func:`_deviator_distances`);
+    nodes the player cannot reach keep ``pi_i(v) >= 0``.  This is the
+    same LP: every feasible ``pi`` has ``pi <= dist_b <= d``, since
+    subsidies only shorten paths.  What moves is the simplex start: at
+    ``y = 0`` the potentials already are the ``b = 0`` distances, so the
+    arc row of ``tail -> head`` has right-hand side ``(cost + d(tail)) -
+    d(head) >= 0``, exactly 0 along each player's shortest-path tree, and
+    only the path rows of players who can improve start infeasible.
+
+    With ``fast`` (the default) the arc rows of all players are computed
+    as one (players x arcs) numpy block, with the same float operations
+    in the same order as a row-by-row build, and the whole LP is appended
+    to a sparse :class:`~repro.lp.incremental.IncrementalLP` as one CSR
+    block; its buffers are byte-identical to appending the rows one at a
+    time.  ``fast=False`` keeps the dense row-by-row reference build, with
+    its own per-player heap Dijkstra (:func:`_heap_distances`) and its own
+    shifted right-hand sides, so comparing the two builds checks the
+    distances and the shift as well as the assembly.
     """
     game = state.game
     graph = game.graph
@@ -390,7 +474,8 @@ def build_polynomial_lp2(
         usage = dict(load) if load is not None else dict(state.usage)
         alpha = game.cost_sharing.weight_on
 
-    all_edges = [canonical_edge(u, v) for u, v, _ in graph.edges()]
+    graph_edges = list(graph.edges())
+    all_edges = [canonical_edge(u, v) for u, v, _ in graph_edges]
     e_index = {e: i for i, e in enumerate(all_edges)}
     m = len(all_edges)
     nodes = graph.nodes
@@ -399,23 +484,18 @@ def build_polynomial_lp2(
     n_players = len(players)
     n_vars = m + n_players * n_nodes
 
-    def pi_var(i: int, v: Node) -> int:
-        return m + i * n_nodes + v_index[v]
-
     c = np.zeros(n_vars)
     c[:m] = 1.0
     lower = np.zeros(n_vars)
     upper = np.full(n_vars, np.inf)
-    upper[:m] = [graph.weight(*e) for e in all_edges]
-    for i, (s_i, _t_i, _path) in enumerate(players):
-        upper[pi_var(i, s_i)] = 0.0  # pi_i(s_i) = 0 via bounds
+    upper[:m] = [w for _u, _v, w in graph_edges]
 
     def path_row(
         i: int, t_i: Node, path: List[Edge]
     ) -> Tuple[List[Tuple[int, float]], float]:
-        # pi_i(t_i) >= cost_i(T; b):
+        # pi_i(t_i) >= cost_i(T; b), without the pi_i(t_i) entry:
         #   -pi(t_i) - sum alpha b_a/L_a <= -sum alpha w_a/L_a
-        entries = [(pi_var(i, t_i), -1.0)]
+        entries = []
         rhs = 0.0
         for e in path:
             a_i = alpha(i, e)
@@ -425,34 +505,52 @@ def build_polynomial_lp2(
         return entries, rhs
 
     if not fast:
-        lp = LinearProgram(n_vars=n_vars, c=c, lower=lower, upper=upper)
-        for i, (s_i, t_i, path) in enumerate(players):
+        # The reference build, row by row: each player's arcs priced one
+        # at a time, its own distances from a plain heap Dijkstra over
+        # those prices, and each row's shifted right-hand side on its own.
+        player_rows: List[Tuple[List[Tuple[int, int, int, float, float]], List[float]]] = []
+        for i, (s_i, _t_i, path) in enumerate(players):
             own = set(path)
-            # Edge relaxations: pi(v) <= pi(u) + alpha (w - b)/d per allowed arc.
-            for u, v, w in graph.edges():
+            arcs_i = []  # (edge column, tail, head, coefficient, cost)
+            for u, v, w in graph_edges:
                 e = canonical_edge(u, v)
                 a_i = alpha(i, e)
                 d = usage.get(e, 0) + a_i - (a_i if e in own else 0)
                 for tail, head in ((u, v), (v, u)):
                     if allows is not None and not allows(tail, head):
                         continue
-                    # pi(head) - pi(tail) + alpha b_e/d <= alpha w/d
-                    lp.add_sparse_constraint(
-                        [
-                            (pi_var(i, head), 1.0),
-                            (pi_var(i, tail), -1.0),
-                            (e_index[e], a_i / d),
-                        ],
-                        a_i * w / d,
+                    arcs_i.append(
+                        (e_index[e], v_index[tail], v_index[head], a_i / d, a_i * w / d)
                     )
-            lp.add_sparse_constraint(*path_row(i, t_i, path))
+            dist_i = _heap_distances(n_nodes, v_index[s_i], arcs_i)
+            upper[m + i * n_nodes : m + (i + 1) * n_nodes] = dist_i
+            player_rows.append((arcs_i, dist_i))
+
+        lp = LinearProgram(n_vars=n_vars, c=c, lower=lower, upper=upper)
+        for i, (_s_i, t_i, path) in enumerate(players):
+            arcs_i, dist_i = player_rows[i]
+            base = m + i * n_nodes
+            # pi(v) = shift[v] + sign[v] * x(v): x = d - pi where the
+            # player reaches v, x = pi where it does not
+            shift = [d_v if d_v < math.inf else 0.0 for d_v in dist_i]
+            sign = [-1.0 if d_v < math.inf else 1.0 for d_v in dist_i]
+            for col, tail, head, coef, cost in arcs_i:
+                # pi(head) - pi(tail) + coef b_e <= cost
+                lp.add_sparse_constraint(
+                    [(base + head, sign[head]), (base + tail, -sign[tail]), (col, coef)],
+                    cost + shift[tail] - shift[head],
+                )
+            entries, rhs = path_row(i, t_i, path)
+            t = v_index[t_i]
+            entries.append((base + t, -sign[t]))
+            lp.add_sparse_constraint(entries, rhs + shift[t])
         return lp, all_edges
 
     # The arc table, built once: edge column, tail/head node offsets and
     # weight of every allowed arc, in the row-by-row build's order.
     arcs = [
         (e_index[canonical_edge(u, v)], v_index[tail], v_index[head], w)
-        for u, v, w in graph.edges()
+        for u, v, w in graph_edges
         for tail, head in ((u, v), (v, u))
         if allows is None or allows(tail, head)
     ]
@@ -460,53 +558,106 @@ def build_polynomial_lp2(
     edge_col = np.array([arc[0] for arc in arcs], dtype=np.int64)
     tail_off = np.array([arc[1] for arc in arcs], dtype=np.int64)
     head_off = np.array([arc[2] for arc in arcs], dtype=np.int64)
-    w_arc = np.array([arc[3] for arc in arcs], dtype=np.float64)
-    usage_arc = np.array([usage.get(e, 0) for e in all_edges], dtype=np.float64)[edge_col]
-    # Every edge column precedes every pi column, so an arc row's sorted
-    # columns are b_e, then the lower and the higher of pi(head), pi(tail).
-    head_first = head_off < tail_off
-    lo_off = np.where(head_first, head_off, tail_off)
-    hi_off = np.where(head_first, tail_off, head_off)
-    lo_val = np.where(head_first, 1.0, -1.0)
+    sources = np.array([v_index[s] for s, _t, _path in players], dtype=np.int64)
+    t_off = np.array([v_index[t] for _s, t, _path in players], dtype=np.int64)
 
-    indices: List[np.ndarray] = []
-    data: List[np.ndarray] = []
-    row_nnz: List[np.ndarray] = []
-    rhs: List[float] = []
-    for i, (_s_i, t_i, path) in enumerate(players):
-        if isinstance(state, TreeState):  # fair sharing: alpha = 1 everywhere
-            a = np.ones(n_arcs)
-        else:
-            a = np.array([alpha(i, e) for e in all_edges], dtype=np.float64)[edge_col]
-        own = np.zeros(m, dtype=bool)
-        own[[e_index[e] for e in path]] = True
-        d = usage_arc + a - np.where(own[edge_col], a, 0.0)
-        if np.any(d == 0.0):
-            raise ZeroDivisionError("float division by zero")
-        coef = a / d
-        base = m + i * n_nodes
-        cols = np.stack([edge_col, base + lo_off, base + hi_off], axis=1)
-        vals = np.stack([coef, lo_val, -lo_val], axis=1)
-        keep = np.ones((n_arcs, 3), dtype=bool)
-        keep[:, 0] = coef != 0.0  # a zero alpha drops b_e, as sparse_row does
-        indices.append(cols[keep])
-        data.append(vals[keep])
-        row_nnz.append(keep.sum(axis=1))
-        rhs.extend((a * w_arc / d).tolist())
+    # Each arc row prices the arc for its player at b = 0: coefficient
+    # alpha/d on b_e and cost alpha w/d, with d the load a deviator sees.
+    if isinstance(state, TreeState):  # fair sharing: alpha = 1 everywhere
+        alpha_e = np.ones((n_players, m))
+    else:
+        alpha_e = np.array(
+            [[alpha(i, e) for e in all_edges] for i in range(n_players)],
+            dtype=np.float64,
+        ).reshape(n_players, m)
+    usage_e = np.array([usage.get(e, 0) for e in all_edges], dtype=np.float64)
+    path_len = np.array([len(path) for _s, _t, path in players], dtype=np.int64)
+    path_e = np.array(
+        [e_index[e] for _s, _t, path in players for e in path], dtype=np.int64
+    )
+    path_p = np.repeat(np.arange(n_players), path_len)
+    own = np.zeros((n_players, m), dtype=bool)
+    own[path_p, path_e] = True
+    a = alpha_e[:, edge_col]
+    d = usage_e[edge_col] + a - np.where(own[:, edge_col], a, 0.0)
+    if np.any(d == 0.0):
+        raise ZeroDivisionError("float division by zero")
+    coef = a / d
+    cost = a * np.array([arc[3] for arc in arcs], dtype=np.float64) / d
 
-        entries, path_rhs = path_row(i, t_i, path)
-        path_cols, path_vals = sparse_row(entries, n_vars)
-        indices.append(path_cols)
-        data.append(path_vals)
-        row_nnz.append(np.array([len(path_cols)]))
-        rhs.append(path_rhs)
+    # pi_i(v) = shift + sign * x_i(v): x = y = d - pi where player i
+    # reaches v, x = pi where it does not.  0 <= y <= d also pins
+    # pi_i(s_i) = 0, as d_i(s_i) = 0.
+    dist = _deviator_distances(n_nodes, sources, tail_off, head_off, cost)
+    upper[m:] = dist.ravel()
+    reach = np.isfinite(dist)
+    shift = np.where(reach, dist, 0.0)
+    sign = np.where(reach, -1.0, 1.0)
+    # pi(head) - pi(tail) + coef b_e <= cost becomes
+    #   sign[head] x(head) - sign[tail] x(tail) + coef b_e
+    #     <= cost + shift[tail] - shift[head]
+    arc_rhs = cost + shift[:, tail_off] - shift[:, head_off]
+    target_val = -sign[np.arange(n_players), t_off]
+    target_shift = shift[np.arange(n_players), t_off]
 
     inc = IncrementalLP(n_vars, c=c, lower=lower, upper=upper)
-    if players:
-        nnz = np.concatenate(row_nnz)
-        indptr = np.zeros(len(nnz) + 1, dtype=np.int64)
-        np.cumsum(nnz, out=indptr[1:])
-        inc.add_rows(indptr, np.concatenate(indices), np.concatenate(data), rhs)
+    if not players:
+        return inc, all_edges
+
+    # Arc rows.  Every edge column precedes every potential column, so a
+    # row's sorted columns are b_e, then the lower and the higher of the
+    # head's and the tail's potential.
+    base = m + np.arange(n_players, dtype=np.int64)[:, None] * n_nodes
+    head_first = head_off < tail_off
+    head_val = sign[:, head_off]
+    tail_val = -sign[:, tail_off]
+    cols = np.empty((n_players, n_arcs, 3), dtype=np.int64)
+    cols[:, :, 0] = edge_col
+    cols[:, :, 1] = base + np.where(head_first, head_off, tail_off)
+    cols[:, :, 2] = base + np.where(head_first, tail_off, head_off)
+    vals = np.empty((n_players, n_arcs, 3))
+    vals[:, :, 0] = coef
+    vals[:, :, 1] = np.where(head_first, head_val, tail_val)
+    vals[:, :, 2] = np.where(head_first, tail_val, head_val)
+    keep = np.ones((n_players, n_arcs, 3), dtype=bool)
+    keep[:, :, 0] = coef != 0.0  # a zero alpha drops b_e, as sparse_row does
+
+    # Path rows: the path's -alpha/L_a in ascending column order (zero
+    # alphas dropped), then the target's potential.  The right-hand side
+    # subtracts alpha w_a/L_a along the path from 0.0, as path_row does: a
+    # sequential cumsum over rows padded with zeros.
+    a_path = alpha_e[path_p, path_e]
+    share = a_path / usage_e[path_e]
+    step = np.arange(len(path_e)) - np.repeat(np.cumsum(path_len) - path_len, path_len)
+    terms = np.zeros((n_players, int(path_len.max()) + 1))
+    terms[path_p, step + 1] = -(a_path * upper[path_e] / usage_e[path_e])
+    path_rhs = np.cumsum(terms, axis=1)[:, -1] + target_shift
+    by_col = np.lexsort((path_e, path_p))
+    by_col = by_col[share[by_col] != 0.0]
+    kept = np.bincount(path_p[by_col], minlength=n_players)
+
+    row_nnz = np.empty((n_players, n_arcs + 1), dtype=np.int64)
+    row_nnz[:, :n_arcs] = keep.sum(axis=2)
+    row_nnz[:, n_arcs] = kept + 1
+    indptr = np.zeros(row_nnz.size + 1, dtype=np.int64)
+    np.cumsum(row_nnz.ravel(), out=indptr[1:])
+    starts = indptr[:-1].reshape(n_players, n_arcs + 1)
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    at = (starts[:, :n_arcs, None] + np.cumsum(keep, axis=2) - 1)[keep]
+    indices[at] = cols[keep]
+    data[at] = vals[keep]
+    owner = path_p[by_col]
+    at = starts[owner, n_arcs] + np.arange(len(by_col)) - (np.cumsum(kept) - kept)[owner]
+    indices[at] = path_e[by_col]
+    data[at] = -share[by_col]
+    last = starts[:, n_arcs] + kept
+    indices[last] = base[:, 0] + t_off
+    data[last] = target_val
+    rhs = np.empty((n_players, n_arcs + 1))
+    rhs[:, :n_arcs] = arc_rhs
+    rhs[:, n_arcs] = path_rhs
+    inc.add_rows(indptr, indices, data, rhs.ravel())
     return inc, all_edges
 
 
@@ -520,9 +671,11 @@ def solve_sne_polynomial_lp2(
     """Minimum subsidies via the polynomial LP (2).
 
     Variables: ``b_a`` for every edge plus ``pi_i(v)`` for every player and
-    node.  ``pi_i`` is a certified lower bound on the deviator-priced
-    shortest-path distance from ``s_i``; requiring ``pi_i(t_i) >=
-    cost_i(T; b)`` is then exactly the equilibrium condition.
+    node (held as ``y_i(v) = d_i(v) - pi_i(v)``, see
+    :func:`build_polynomial_lp2`).  ``pi_i`` is a certified lower bound on
+    the deviator-priced shortest-path distance from ``s_i``; requiring
+    ``pi_i(t_i) >= cost_i(T; b)`` is then exactly the equilibrium
+    condition.
 
     Family-aware like LP (1): rule-priced states (weighted demands,
     per-edge splits) contribute ``alpha_i(a)``-scaled coefficients, and

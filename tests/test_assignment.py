@@ -40,6 +40,12 @@ class TestValidation:
         s = SubsidyAssignment(g, {(0, 1): 0.0})
         assert len(s) == 0
 
+    def test_roundoff_zeros_dropped_before_the_edge_check(self, g):
+        s = SubsidyAssignment(g, {(0, 9): 0.0, (5, 5): -1e-7, (0, 1): 1.0})
+        assert dict(s.items()) == {(0, 1): 1.0}
+        with pytest.raises(ValueError):
+            SubsidyAssignment(g, {(0, 9): 1e-9})
+
 
 class TestMappingProtocol:
     def test_get_default(self, g):
@@ -96,6 +102,19 @@ class TestConstructors:
     def test_from_vector(self, g):
         s = SubsidyAssignment.from_vector(g, [(0, 1), (1, 2)], np.array([0.5, 1.0]))
         assert s.cost == 1.5
+
+    def test_from_vector_validates_as_the_constructor_does(self, g):
+        """Round-off in [-tol, 0] drops, anything beyond tol still raises."""
+        edges = [(0, 1), (1, 2), (0, 2)]
+        s = SubsidyAssignment.from_vector(g, edges, np.array([-1e-7, 1.0 + 1e-7, 0.0]))
+        assert dict(s.items()) == {(1, 2): 1.0}
+        with pytest.raises(ValueError):
+            SubsidyAssignment.from_vector(g, edges, np.array([0.0, -1e-5, 0.0]))
+        with pytest.raises(ValueError):
+            SubsidyAssignment.from_vector(g, edges, np.array([0.0, 0.0, 3.1]))
+        # zip semantics: a longer vector (LP (2)'s potentials) is cut off
+        s = SubsidyAssignment.from_vector(g, edges[:1], np.array([0.5, 9.0]))
+        assert dict(s.items()) == {(0, 1): 0.5}
 
     def test_combined_with(self, g):
         a = SubsidyAssignment(g, {(0, 1): 0.5})

@@ -15,6 +15,7 @@ import pytest
 
 from repro.games.broadcast import BroadcastGame
 from repro.games.directed import DirectedNetworkDesignGame
+from repro.games import engine as engine_module
 from repro.games.engine import BestResponseEngine, EngineProfile, OracleStats
 from repro.games.game import NetworkDesignGame
 from repro.games.multicast import MulticastGame
@@ -70,6 +71,109 @@ def test_tree_binding_parity(seed):
     assert binding.scan(engine.net_weights(engine.subsidy_vector(opt)), tol=LP_TOL) == []
     delta = engine.stats.delta(before)
     assert delta["dijkstra_calls"] == 0 and delta["players_batched"] > 0
+
+
+def _lca_walk(binding, uid, vid, e_uv):
+    """Edge ids the Lemma 2 walk adds on each side, in its order."""
+    depth, parent_nid, parent_eid = binding.depth, binding.parent_nid, binding.parent_eid
+    x, y = uid, vid
+    lhs, rhs = [], []
+    while depth[x] > depth[y]:
+        lhs.append(parent_eid[x])
+        x = parent_nid[x]
+    while depth[y] > depth[x]:
+        rhs.append(parent_eid[y])
+        y = parent_nid[y]
+    while x != y:
+        lhs.append(parent_eid[x])
+        x = parent_nid[x]
+        rhs.append(parent_eid[y])
+        y = parent_nid[y]
+    return lhs, rhs
+
+
+def _lemma2_walk_reference(binding, wb):
+    """The certificate as one scalar walk per incidence (the reference)."""
+    wb_l = wb.tolist()
+    usage_l = binding.usage.tolist()
+    for uid, vid, e_uv in binding._incidences:
+        up, down = _lca_walk(binding, uid, vid, e_uv)
+        lhs = 0.0
+        for e in up:
+            lhs += wb_l[e] / usage_l[e]
+        rhs = wb_l[e_uv]
+        for e in down:
+            rhs += wb_l[e] / (usage_l[e] + 1)
+        if lhs > rhs + 1e-12 * max(1.0, lhs, abs(rhs)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_lemma2_certificate_matches_the_walk(seed):
+    """The blocked cumsum adds the walk's terms in the walk's order."""
+    rng = np.random.default_rng(seed)
+    g = random_tree_plus_chords(30 + 5 * seed, 15 + 10 * seed, seed=seed, chord_factor=1.1)
+    state = BroadcastGame(g, root=0).mst_state()
+    engine = BestResponseEngine.for_graph(g)
+    binding = engine.bind(state)
+    m = engine.num_edges
+    rows = set()
+    for lhs_slots, rhs_slots in binding._lemma2_blocks(binding._incidences):
+        for up, down in zip(lhs_slots.tolist(), rhs_slots.tolist()):
+            up = [k for k in up if k != 3 * m]
+            down = [k for k in down if k != 3 * m]
+            rows.add((tuple(up), down[0] - 2 * m, tuple(k - m for k in down[1:])))
+    walks = set()
+    for uid, vid, e_uv in binding._incidences:
+        up, down = _lca_walk(binding, uid, vid, e_uv)
+        walks.add((tuple(up), e_uv, tuple(down)))
+    assert rows == walks and len(walks) == len(binding._incidences)
+
+    opt = engine.net_weights(engine.subsidy_vector(solve_sne_broadcast_lp3(state).subsidies))
+    cases = [engine.net_weights(np.zeros(m)), opt]
+    cases += [engine.net_weights(engine.subsidy_vector(_random_subsidies(g, rng))) for _ in range(5)]
+    # nudge single edges of the optimum across the certificate's slack
+    for e in rng.choice(m, size=8, replace=False).tolist():
+        for k in (-3, -1, 1, 3):
+            wb = opt.copy()
+            wb[e] *= 1.0 + k * 1e-12
+            cases.append(wb)
+    seen = {_lemma2_walk_reference(binding, wb) for wb in cases}
+    assert seen == {True, False}
+    for wb in cases:
+        assert binding._lemma2_certified(wb) == _lemma2_walk_reference(binding, wb)
+
+
+def test_lemma2_certificate_builds_chunks_on_first_use():
+    """A pass that meets a violation stops building where it stops checking."""
+    g = random_tree_plus_chords(400, 1400, seed=5, chord_factor=1.1)
+    state = BroadcastGame(g, root=0).mst_state()
+    engine = BestResponseEngine.for_graph(g)
+    binding = engine.bind(state)
+    chunk = engine_module._CERT_CHUNK
+    assert len(binding._incidences) > 2 * chunk
+    wb = engine.net_weights(np.zeros(engine.num_edges))
+    # the first incidence whose own constraint fails, by the scalar walk
+    first_bad = next(
+        k
+        for k, inc in enumerate(binding._incidences)
+        if not _lemma2_walk_reference(_one_incidence(binding, inc), wb)
+    )
+    assert binding._lemma2_certified(wb) is False
+    assert len(binding._cert_chunks) == first_bad // chunk + 1
+    opt = engine.net_weights(engine.subsidy_vector(solve_sne_broadcast_lp3(state).subsidies))
+    assert binding._lemma2_certified(opt) is True
+    assert len(binding._cert_chunks) == -(-len(binding._incidences) // chunk)
+
+
+class _one_incidence:
+    """A binding view holding a single incidence (for the scalar walk)."""
+
+    def __init__(self, binding, incidence):
+        self.depth, self.parent_nid = binding.depth, binding.parent_nid
+        self.parent_eid, self.usage = binding.parent_eid, binding.usage
+        self._incidences = [incidence]
 
 
 @pytest.mark.parametrize("family", ["multicast", "general", "weighted", "directed"])

@@ -6,7 +6,9 @@ what that path promises: the same answers, byte for byte, as
 ``linprog(..., method="highs", options={"presolve": False})`` on the
 programs the solvers really build, the same status mapping on infeasible
 and unbounded programs, byte-identical reports when the direct path is
-unavailable, and a live direct path whenever scipy ships its core module.
+unavailable or the core rejects the model, and a live direct path
+whenever scipy ships its core module.  Dense programs (``solve_dense``)
+and sparse sessions enter the core through the same helper.
 """
 
 import json
@@ -121,12 +123,12 @@ def test_status_mapping_matches_linprog(build, expected):
     assert highs.solve_dense(inc.to_linear_program()).status is expected
 
 
-def _reports(solvers_by_family):
+def _reports(solvers_by_family, **opts):
     out = []
     for family, solvers in solvers_by_family.items():
         game = _family_games(family)[2]
         for solver in solvers:
-            report = api.solve(game, solver)
+            report = api.solve(game, solver, **opts)
             payload = api.serialize.canonical_report_json(report)
             out.append(json.dumps(payload, sort_keys=True))
     return out
@@ -144,6 +146,72 @@ def test_reports_identical_without_the_direct_path(monkeypatch):
     monkeypatch.setattr(highs, "_HIGHS_DIRECT", None)
     fallback = _reports(solvers)
     assert direct == fallback
+
+
+class _FailingPassModel:
+    """A HiGHS instance whose ``passModel`` raises; all else is the real one."""
+
+    def __init__(self, highs_obj):
+        self._highs = highs_obj
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def passModel(self, *args):
+        raise RuntimeError("injected passModel failure")
+
+
+class _CoreWithFailingPassModel:
+    """The captured core module, handing out :class:`_FailingPassModel`."""
+
+    def __init__(self, core):
+        self._core = core
+
+    def __getattr__(self, name):
+        return getattr(self._core, name)
+
+    def _Highs(self):
+        return _FailingPassModel(self._core._Highs())
+
+
+@needs_direct
+def test_pass_model_failure_falls_back_with_identical_reports(monkeypatch):
+    """A core that rejects the model mid-call: both paths fall back to linprog."""
+    sparse = {
+        "broadcast": ["sne-lp1", "sne-lp2", "sne-lp3"],
+        "general": ["sne-lp1", "sne-lp2"],
+        "directed": ["sne-lp2"],
+    }
+    dense_lp2 = {"broadcast": ["sne-lp2"], "weighted": ["sne-lp2"]}
+    dense = {"broadcast": ["approx-greedy", "aon-exact"], "weighted": ["approx-greedy"]}
+
+    def dense_reports():
+        return _reports(dense_lp2, fast=False) + _reports(dense)
+
+    expected = (_reports(sparse), dense_reports())
+
+    fallbacks = []
+
+    def counting_linprog(*args, **kwargs):
+        fallbacks.append(type(kwargs["A_ub"]))
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setitem(
+        highs._HIGHS_DIRECT, "core", _CoreWithFailingPassModel(highs._HIGHS_DIRECT["core"])
+    )
+    monkeypatch.setattr(highs, "linprog", counting_linprog)
+    assert _reports(sparse) == expected[0]
+    sparse_fallbacks = len(fallbacks)
+    assert sparse_fallbacks and all(t is not np.ndarray for t in fallbacks)
+    assert dense_reports() == expected[1]
+    assert np.ndarray in fallbacks[sparse_fallbacks:]
+
+
+def test_highs_version_comes_from_the_captured_core():
+    if highs._HIGHS_DIRECT is None:
+        assert highs.HIGHS_VERSION is None
+    else:
+        assert highs.HIGHS_VERSION == highs._HIGHS_DIRECT["core"]._Highs().version()
 
 
 def test_direct_path_is_live_when_core_imports(monkeypatch):

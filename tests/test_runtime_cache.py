@@ -19,6 +19,8 @@ from repro.runtime import (
     experiment_job_key,
     solve_job_key,
 )
+from repro.runtime.cache import CACHE_SCHEMA_VERSION, instance_key_state
+from repro.runtime.runner import sweep_job_keys
 from repro.utils.hashing import (
     UnhashablePayloadError,
     canonical_json,
@@ -73,6 +75,59 @@ class TestKeys:
         assert solve_job_key(instance_json, "theorem6", "1", {}) != base
         assert solve_job_key(instance_json, "sne-lp3", "2", {}) != base
         assert solve_job_key(instance_json, "sne-lp3", "1", {"verify": False}) != base
+
+    def test_key_is_the_stable_hash_of_the_cell(self, instance_json):
+        """The shared instance state changes how a key is computed, not what it is."""
+        labelled = dict(instance_json, label='réseau → "x"')
+        for inst, solver, version, opts in [
+            (instance_json, "sne-lp3", "1", {"verify": True}),
+            (labelled, "theorem6", "2", {"nested": {"b": [1, 2.5, None], "a": "z"}}),
+            (labelled, "sne-lp3", "1", None),
+        ]:
+            cell = {
+                "kind": "solve-job",
+                "schema": CACHE_SCHEMA_VERSION,
+                "instance": inst,
+                "solver": solver,
+                "solver_version": version,
+                "opts": dict(opts or {}),
+            }
+            state = instance_key_state(inst)
+            assert solve_job_key(inst, solver, version, opts) == stable_hash(cell)
+            for _ in range(2):  # the state is copied, not consumed
+                assert solve_job_key(inst, solver, version, opts, state) == stable_hash(cell)
+
+    def test_keys_pinned(self, instance_json):
+        """Keys of cached results stay put (digests taken before the
+        instance state was introduced)."""
+        assert solve_job_key(instance_json, "sne-lp3", "1", {"verify": True}) == (
+            "351b1471e3b5f82c5afeb3aa2ce6d00cd5337eadc6a41349e6fedcdb4bbbdac6"
+        )
+        labelled = dict(instance_json, label='réseau → "x"')
+        opts = {"nested": {"b": [1, 2.5, None], "a": "z"}}
+        assert solve_job_key(labelled, "theorem6", "2", opts) == (
+            "3df805c7bc1550a81422983a40d86ad22ceee4b943697c5c92db17bf0709cb75"
+        )
+
+    def test_unhashable_instance_rejected(self, instance_json):
+        with pytest.raises(UnhashablePayloadError):
+            solve_job_key(dict(instance_json, x=float("nan")), "sne-lp3", "1")
+        with pytest.raises(UnhashablePayloadError):
+            instance_key_state({"x": object()})
+
+    def test_sweep_job_keys_share_one_state_per_instance(self):
+        jobs = SweepSpec(
+            solvers=["sne-lp3", "theorem6"], models=["tree-chords"], sizes=[6], count=2
+        ).expand()
+        jobs[-1] = dataclasses.replace(jobs[-1], opts={"bad": object()})
+        keys = sweep_job_keys(jobs)
+        for job in jobs[:-1]:
+            spec = get_solver(job.solver)
+            assert keys[job.index] == solve_job_key(
+                job.instance, spec.name, spec.version, job.opts
+            )
+        assert keys[jobs[-1].index] is None  # runnable, just not cacheable
+        assert len(set(keys.values())) == len(jobs)
 
     def test_experiment_key_tracks_source(self):
         a = experiment_job_key("E3", 0, "digest-a")

@@ -138,6 +138,24 @@ def _assert_matches_stdlib(obj, **kw):
     assert dumps_indented(obj, **kw) == expected
 
 
+def _sized(make, length):
+    """``make(pad)`` with the pad that gives a compact text of ``length``."""
+    for pad in range(length + 1):
+        obj = make(pad)
+        if len(json.dumps(obj, separators=(",", ":"))) == length:
+            return obj
+    raise AssertionError(f"no pad reaches compact length {length}")
+
+
+#: payloads padded to a chosen compact length: a scalar, empty containers
+#: and escapes in keys and values
+_SIZED = {
+    "scalar": lambda pad: 'q"\\\n' + "x" * pad,
+    "empty-containers": lambda pad: {"a": [], "b": {}, "c": [[], {}, [{}]], "pad": "x" * pad},
+    "escapes": lambda pad: {'k"]\\': ["[{,:}]", '\\"', "\t"], "é": ["x" * pad, None]},
+}
+
+
 class TestDumpsIndented:
     @settings(max_examples=400, deadline=None)
     @given(obj=_trees, sort_keys=st.booleans(), ensure_ascii=st.booleans())
@@ -157,6 +175,13 @@ class TestDumpsIndented:
     @pytest.mark.parametrize("ensure_ascii", [False, True])
     def test_edge_cases(self, obj, sort_keys, ensure_ascii):
         _assert_matches_stdlib(obj, sort_keys=sort_keys, ensure_ascii=ensure_ascii)
+
+    @pytest.mark.parametrize("length", [64, 512, 4096])
+    @pytest.mark.parametrize("shape", sorted(_SIZED))
+    def test_sized_payloads(self, shape, length):
+        obj = _sized(_SIZED[shape], length)
+        _assert_matches_stdlib(obj)
+        _assert_matches_stdlib(obj, sort_keys=True, ensure_ascii=False)
 
     def test_deep_nesting(self):
         obj = []
