@@ -31,7 +31,6 @@ from repro.games.game import NetworkDesignGame, State
 from repro.games.multicast import MulticastGame
 from repro.games.weighted import WeightedNetworkDesignGame, WeightedState
 from repro.graphs.graph import Edge
-from repro.lp import get_backend
 from repro.subsidies.aon import AONResult, greedy_aon_sne, solve_aon_sne_exact
 from repro.subsidies.approx import (
     ApproxSNEResult,
@@ -136,11 +135,8 @@ def as_broadcast_game(instance: AnyInstance) -> BroadcastGame:
 
 
 def _target_of(state: AnyState) -> Tuple[Tuple[Edge, ...], float]:
-    """Established edges and their weight for either state flavour."""
-    if isinstance(state, TreeState):
-        edges = tuple(e for e in state.edges if state.loads[e] > 0)
-    else:
-        edges = tuple(state.established_edges())
+    """Established edges and their weight."""
+    edges = tuple(state.established_edges())
     return edges, state.game.graph.subset_weight(edges)
 
 
@@ -152,7 +148,9 @@ def _target_of(state: AnyState) -> Tuple[Tuple[Edge, ...], float]:
 def _report_from_sne(
     res: SNEResult, state: AnyState, solver: str, elapsed: float, checked: bool
 ) -> SolveReport:
+    """The report of an exact LP solve or of a certified approximate one."""
     target_edges, target_cost = _target_of(state)
+    approx = isinstance(res, ApproxSNEResult)
     metadata = {"method": res.method, "rounds": res.rounds, "cuts": res.cuts}
     if res.backend is not None:
         # Canonical LP backend name (registry spelling), for provenance,
@@ -160,9 +158,14 @@ def _report_from_sne(
         # the solver version bumps below.
         metadata["backend"] = res.backend
     if res.certificate is not None:
-        # The exact rational re-derivation of the verdict; deterministic
-        # for a given instance, so it participates in canonical bytes.
-        metadata["exact_certificate"] = res.certificate.as_dict()
+        # The exact rational re-derivation of the verdict, or the certified
+        # bracket lb <= OPT <= ub of an approximate solve.  Both are
+        # deterministic for a given instance/opts (no timestamps), so they
+        # participate in canonical bytes.
+        key = "certificate" if approx else "exact_certificate"
+        metadata[key] = res.certificate.as_dict()
+    if approx and res.anytime is not None:
+        metadata["anytime"] = res.anytime.as_dict()
     if res.profile is not None:
         # Solve-path provenance (oracle searches, batch skips, cut rounds,
         # LP warm starts).  Like wall_clock_seconds it describes *how* the
@@ -171,7 +174,8 @@ def _report_from_sne(
         metadata["profile"] = res.profile
     # The legacy SNEResult reports verified=True when verification was
     # skipped; the canonical report only claims `verified` for an actual
-    # equilibrium-checker run.
+    # equilibrium-checker run.  The LPs solve SNE to optimality; an
+    # approximate solve is optimal when its certificate closes the gap.
     return SolveReport(
         solver=solver,
         problem="sne",
@@ -181,7 +185,7 @@ def _report_from_sne(
         target_cost=target_cost,
         feasible=res.feasible,
         verified=checked and res.verified and res.feasible,
-        optimal=res.feasible,  # the LPs solve SNE to optimality
+        optimal=res.feasible and (res.optimal if approx else True),
         metadata=metadata,
         wall_clock_seconds=elapsed,
     )
@@ -286,42 +290,6 @@ def solve_sne_poly(
 # ---------------------------------------------------------------------------
 
 
-def _report_from_approx(
-    res: ApproxSNEResult,
-    state: AnyState,
-    solver: str,
-    elapsed: float,
-    checked: bool,
-    backend: Optional[str] = None,
-) -> SolveReport:
-    target_edges, target_cost = _target_of(state)
-    metadata: dict = {"method": res.method, "rounds": res.rounds, "cuts": res.cuts}
-    if backend is not None:
-        metadata["backend"] = backend
-    if res.certificate is not None:
-        # The certified bracket lb <= OPT <= ub; deterministic for a given
-        # instance/opts (no timestamps), so it participates in canonical
-        # report bytes — unlike `profile`, which is provenance.
-        metadata["certificate"] = res.certificate.as_dict()
-    if res.anytime is not None:
-        metadata["anytime"] = res.anytime.as_dict()
-    if res.profile is not None:
-        metadata["profile"] = res.profile
-    return SolveReport(
-        solver=solver,
-        problem="sne",
-        subsidies=res.subsidies,
-        budget_used=res.subsidies.cost,
-        target_edges=target_edges,
-        target_cost=target_cost,
-        feasible=res.feasible,
-        verified=checked and res.verified and res.feasible,
-        optimal=res.feasible and res.optimal,
-        metadata=metadata,
-        wall_clock_seconds=elapsed,
-    )
-
-
 @register_solver(
     "approx-greedy",
     problem="sne",
@@ -356,9 +324,7 @@ def solve_approx_greedy(
             deadline=deadline,
             target_gap=target_gap,
         )
-    return _report_from_approx(
-        res, state, "approx-greedy", t.elapsed, verify, backend=get_backend(method).name
-    )
+    return _report_from_sne(res, state, "approx-greedy", t.elapsed, verify)
 
 
 @register_solver(
@@ -396,14 +362,7 @@ def solve_approx_primal_dual(
             deadline=deadline,
             target_gap=target_gap,
         )
-    return _report_from_approx(
-        res,
-        state,
-        "approx-primal-dual",
-        t.elapsed,
-        verify,
-        backend=get_backend(method).name,
-    )
+    return _report_from_sne(res, state, "approx-primal-dual", t.elapsed, verify)
 
 
 # ---------------------------------------------------------------------------

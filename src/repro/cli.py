@@ -434,14 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests allowed to wait beyond --workers before 429s (default 16)",
     )
     serve_p.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="linger this long before solving so identical concurrent "
-        "requests share one engine scan (default 0 = pure dedup)",
-    )
-    serve_p.add_argument(
         "--lru-size",
         type=int,
         default=128,
@@ -1020,7 +1012,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         workers=args.workers,
         queue=args.queue,
-        batch_window=args.batch_window,
         lru_size=args.lru_size,
         cache=_cache_from_args(args),
     )

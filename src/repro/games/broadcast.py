@@ -45,15 +45,18 @@ class TreeState:
     def edge_set(self) -> frozenset:
         return frozenset(self.tree.edges)
 
-    def social_cost(self) -> float:
-        """``wgt(T)`` over established (used) edges.
+    def established_edges(self) -> List[Edge]:
+        """Tree edges used by at least one player (the built network).
 
-        Edges whose subtree hosts zero players are *not established* (no
-        player uses them); with default multiplicities every tree edge
-        counts.
+        Edges whose subtree hosts zero players are *not established*; with
+        default multiplicities every tree edge counts.
         """
+        return [e for e in self.tree.edges if self.loads[e] > 0]
+
+    def social_cost(self) -> float:
+        """``wgt(T)`` over established (used) edges."""
         g = self.game.graph
-        return sum(g.weight(u, v) for u, v in self.tree.edges if self.loads[(u, v)] > 0)
+        return sum(g.weight(u, v) for u, v in self.established_edges())
 
     def usage(self, edge: Edge) -> int:
         """``n_a(T)``: players using the tree edge (0 for non-tree edges)."""

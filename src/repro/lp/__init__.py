@@ -43,7 +43,11 @@ from repro.lp.backends import (
     solve_lp,
 )
 from repro.lp.incremental import IncrementalLP, LPStats
-from repro.lp.cutting_plane import CuttingPlaneResult, solve_with_cutting_planes
+from repro.lp.cutting_plane import (
+    CuttingPlaneResult,
+    cutting_plane_rounds,
+    solve_with_cutting_planes,
+)
 
 __all__ = [
     "BackendUnavailableError",
@@ -59,6 +63,7 @@ __all__ = [
     "WarmSimplex",
     "backend_names",
     "certify_result",
+    "cutting_plane_rounds",
     "exact_solve_certified",
     "get_backend",
     "list_backends",

@@ -12,7 +12,7 @@ them and repeat.  The oracle here is the same one the paper describes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +41,43 @@ class CuttingPlaneResult:
         return self.converged and self.result.ok
 
 
+#: One round of the loop: ``(round number, LP result, violated cuts)``;
+#: ``violated`` is None when the relaxation was not solved to optimality.
+Round = Tuple[int, LPResult, Optional[List[Cut]]]
+
+
+def cutting_plane_rounds(
+    problem: Union[LinearProgram, IncrementalLP],
+    oracle: SeparationOracle,
+    method: str = "highs",
+    max_rounds: int = 200,
+) -> Iterator[Round]:
+    """The cutting-plane loop, one ``(round, result, violated)`` at a time.
+
+    Each round solves the relaxation and asks ``oracle`` for the cuts its
+    optimum violates.  The cuts are added when the consumer asks for the
+    next round, so a consumer that stops early leaves them out.  The loop
+    ends after a solve that is not optimal (``violated`` is None), after a
+    round with no violated cut, or after ``max_rounds`` rounds.
+    """
+    incremental = isinstance(problem, IncrementalLP)
+    for round_idx in range(1, max_rounds + 1):
+        if incremental:
+            result = problem.solve(method=method)
+        else:
+            result = solve_lp(problem, method=method)
+        if result.status is not LPStatus.OPTIMAL:
+            yield round_idx, result, None
+            return
+        assert result.x is not None
+        violated: List[Cut] = list(oracle(result.x))
+        yield round_idx, result, violated
+        if not violated:
+            return
+        for row, rhs in violated:
+            problem.add_constraint(row, rhs)
+
+
 def solve_with_cutting_planes(
     problem: Union[LinearProgram, IncrementalLP],
     oracle: SeparationOracle,
@@ -64,22 +101,16 @@ def solve_with_cutting_planes(
     and the returned result are the same either way — only the solve path
     changes.
     """
-    incremental = isinstance(problem, IncrementalLP)
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     cuts_added = 0
     last: Optional[LPResult] = None
-    for round_idx in range(1, max_rounds + 1):
-        if incremental:
-            last = problem.solve(method=method)
-        else:
-            last = solve_lp(problem, method=method)
-        if last.status is not LPStatus.OPTIMAL:
-            return CuttingPlaneResult(last, round_idx, cuts_added, converged=False)
-        assert last.x is not None
-        violated: List[Cut] = list(oracle(last.x))
+    for round_idx, last, violated in cutting_plane_rounds(
+        problem, oracle, method, max_rounds
+    ):
         if not violated:
-            return CuttingPlaneResult(last, round_idx, cuts_added, converged=True)
-        for row, rhs in violated:
-            problem.add_constraint(row, rhs)
-            cuts_added += 1
+            converged = violated is not None
+            return CuttingPlaneResult(last, round_idx, cuts_added, converged)
+        cuts_added += len(violated)
     assert last is not None
     return CuttingPlaneResult(last, max_rounds, cuts_added, converged=False)

@@ -2,7 +2,7 @@
 
 This is the reference LP solver the cutting-plane driver was developed
 against; production solves go through scipy's HiGHS (see
-:mod:`repro.lp.backend`).  The implementation is a textbook tableau method:
+:mod:`repro.lp.backends`).  The implementation is a textbook tableau method:
 
 * finite lower/upper variable bounds are compiled into shift + extra rows,
   so the core solves ``min c.x : A x <= b, x >= 0``;

@@ -46,6 +46,10 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: seconds a connection may sit idle or stall mid-request before it is dropped
 READ_TIMEOUT_S = 30.0
 
+#: seconds between the serve loop's shutdown checks: the most a daemon's
+#: ``shutdown()`` waits (socketserver's default is 0.5)
+POLL_INTERVAL_S = 0.05
+
 
 class RequestError(ValueError):
     """A refused request, answered as ``status`` with ``{"error": message}``."""
@@ -149,7 +153,9 @@ class JSONHandler(BaseHTTPRequestHandler):
 
 class JSONServer(ThreadingHTTPServer):
     """Threaded HTTP server over a route table; ``on_request(method, path)``
-    sees every ``GET``/``POST`` before it is routed."""
+    sees every ``GET``/``POST`` before it is routed.  :meth:`serve_forever`
+    polls every :data:`POLL_INTERVAL_S`, so ``shutdown()`` returns within
+    that, not within socketserver's default half second."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -160,6 +166,9 @@ class JSONServer(ThreadingHTTPServer):
         self.routes = routes
         self.quiet = quiet
         self.on_request = on_request
+
+    def serve_forever(self, poll_interval: float = POLL_INTERVAL_S) -> None:
+        super().serve_forever(poll_interval)
 
     def handle_error(self, request: Any, client_address: Tuple[str, int]) -> None:
         """A client that went away gets one line; anything else its traceback."""

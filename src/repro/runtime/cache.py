@@ -329,6 +329,38 @@ def cached_entry(
     return entry if isinstance(entry.get(payload), dict) else None
 
 
+def store_solve_entry(
+    cache: AnyCache,
+    key: str,
+    solver: str,
+    report: Optional[JSONDict],
+    elapsed: float,
+) -> None:
+    """Write one successful solve outcome to the result cache.
+
+    The entry shape is shared by every producer — the sweep runner, the
+    distributed coordinator, remote ``sweep-worker`` processes and the
+    serve daemon — which is what lets any number of hosts write the same
+    content-addressed cell concurrently: entries for a key are identical
+    up to timing fields, so last-writer-wins is harmless.
+    """
+    try:
+        cache.put(
+            key,
+            {
+                "kind": "solve-entry",
+                "key": key,
+                "status": "ok",
+                "solver": solver,
+                "report": report,
+                "elapsed_seconds": elapsed,
+                "created_at": time.time(),
+            },
+        )
+    except OSError:
+        pass  # unwritable cache degrades to uncached, not a crash
+
+
 def coerce_cache(value: Union[AnyCache, str, Path, bool, None]) -> AnyCache:
     """Normalize the cache-argument convention used across the runtime.
 

@@ -78,12 +78,17 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.net import JSONClient, JSONDict, JSONServer, RequestError, Route
-from repro.runtime.cache import AnyCache, atomic_write_text, cached_entry, coerce_cache
+from repro.runtime.cache import (
+    AnyCache,
+    atomic_write_text,
+    cached_entry,
+    coerce_cache,
+    store_solve_entry,
+)
 from repro.runtime.runner import (
     JobOutcome,
     dump_job_record,
     job_record,
-    store_solve_entry,
     sweep_job_keys,
     write_sweep_json,
 )

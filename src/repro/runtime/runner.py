@@ -52,6 +52,7 @@ from repro.runtime.cache import (
     coerce_cache,
     instance_key_state,
     solve_job_key,
+    store_solve_entry,
 )
 from repro.runtime.spec import SweepJob, jobs_from_instances
 from repro.runtime.workers import run_solve_job
@@ -84,38 +85,6 @@ def _pool(max_workers: int) -> ProcessPoolExecutor:
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     return ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx)
-
-
-def store_solve_entry(
-    cache: AnyCache,
-    key: str,
-    solver: str,
-    report: Optional[JSONDict],
-    elapsed: float,
-) -> None:
-    """Write one successful solve outcome to the result cache.
-
-    The entry shape is shared by every producer — :class:`SweepRunner`,
-    the distributed coordinator and remote ``sweep-worker`` processes —
-    which is what lets any number of hosts write the same
-    content-addressed cell concurrently: entries for a key are identical
-    up to timing fields, so last-writer-wins is harmless.
-    """
-    try:
-        cache.put(
-            key,
-            {
-                "kind": "solve-entry",
-                "key": key,
-                "status": "ok",
-                "solver": solver,
-                "report": report,
-                "elapsed_seconds": elapsed,
-                "created_at": time.time(),
-            },
-        )
-    except OSError:
-        pass  # unwritable cache degrades to uncached, not a crash
 
 
 def sweep_job_keys(jobs: Sequence[SweepJob]) -> Dict[int, Optional[str]]:

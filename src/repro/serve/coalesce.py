@@ -1,4 +1,4 @@
-"""Same-request coalescing for the solver daemon (single-flight + window).
+"""Same-request coalescing for the solver daemon (single-flight).
 
 Under load, identical requests arrive together: a dashboard refreshing a
 panel, a sweep fan-out hitting the same instance from several clients.
@@ -10,12 +10,9 @@ batched separation oracle exists to avoid — so the service funnels every
   one engine scan, one LP, one cache write;
 * arrivals while that flight is open become *followers*: they block on
   the flight's event and receive the leader's result without touching a
-  worker slot;
-* an optional **batch window** makes the leader linger briefly before
-  solving, widening the group under bursty traffic (off by default: with
-  a window of 0 the coalescer is pure single-flight).
+  worker slot.
 
-Results are deterministic either way — followers get bytes identical to
+Results are deterministic — followers get bytes identical to
 what a lone request would have produced — so coalescing is purely a
 throughput lever, never a correctness trade.
 """
@@ -23,7 +20,6 @@ throughput lever, never a correctness trade.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
 
@@ -58,15 +54,11 @@ class Coalescer:
         with self._lock:
             return len(self._inflight)
 
-    def run(
-        self, key: str, fn: Callable[[], Any], window: float = 0.0
-    ) -> Tuple[Any, bool]:
+    def run(self, key: str, fn: Callable[[], Any]) -> Tuple[Any, bool]:
         """Compute or join: returns ``(value, joined)``.
 
         ``joined`` is True when this caller received a leader's result
-        instead of computing its own.  ``window`` > 0 makes a leader sleep
-        that many seconds before computing, so same-key requests arriving
-        just behind it join the same flight.
+        instead of computing its own.
         """
         with self._lock:
             flight = self._inflight.get(key)
@@ -83,8 +75,6 @@ class Coalescer:
             return flight.value, True
 
         try:
-            if window > 0:
-                time.sleep(window)
             flight.value = fn()
             return flight.value, False
         except BaseException as exc:

@@ -44,7 +44,13 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro import __version__, api
 from repro.lp import list_backends
 from repro.net import RequestError
-from repro.runtime.cache import AnyCache, cached_entry, coerce_cache, solve_job_key
+from repro.runtime.cache import (
+    AnyCache,
+    cached_entry,
+    coerce_cache,
+    solve_job_key,
+    store_solve_entry,
+)
 from repro.serve.coalesce import Coalescer
 from repro.utils.hashing import UnhashablePayloadError, stable_hash
 from repro.utils.jsonfmt import dumps_indented
@@ -83,9 +89,6 @@ class ServeConfig:
     #: max additional requests allowed to wait for a worker slot; beyond
     #: ``workers + queue`` in flight, new solve requests are rejected
     queue: int = 16
-    #: seconds a coalescing leader lingers before solving so identical
-    #: requests can join its flight (0 = pure single-flight dedup)
-    batch_window: float = 0.0
     #: interned live instances kept resident (graphs + engines + bindings)
     lru_size: int = 128
     #: response store (shared with the sweep runtime's result cache)
@@ -98,8 +101,6 @@ class ServeConfig:
             raise ValueError(f"queue must be >= 0, got {self.queue}")
         if self.lru_size < 1:
             raise ValueError(f"lru_size must be >= 1, got {self.lru_size}")
-        if self.batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {self.batch_window}")
 
 
 class InstanceLRU:
@@ -301,26 +302,10 @@ class SolverService:
             self.counters.bump("solves")
             self._bump_report_counters(report.metadata)
             payload = api.serialize.report_to_json(report)
-            try:
-                # Same entry shape as SweepRunner.run stores, so the daemon
-                # and the sweep runtime share one response store.
-                self.cache.put(
-                    key,
-                    {
-                        "kind": "solve-entry",
-                        "key": key,
-                        "status": "ok",
-                        "solver": spec.name,
-                        "report": payload,
-                        "elapsed_seconds": elapsed,
-                        "created_at": time.time(),
-                    },
-                )
-            except OSError:
-                pass  # unwritable cache degrades to uncached, not a crash
+            store_solve_entry(self.cache, key, spec.name, payload, elapsed)
             return api.serialize.canonical_report_json(payload)
 
-        result, joined = self.coalescer.run(key, compute, self.config.batch_window)
+        result, joined = self.coalescer.run(key, compute)
         if joined:
             self.counters.bump("coalesced_joins")
         return result
@@ -517,7 +502,6 @@ class SolverService:
                 "config": {
                     "workers": self.config.workers,
                     "queue": self.config.queue,
-                    "batch_window": self.config.batch_window,
                     "lru_size": self.config.lru_size,
                 },
             }

@@ -27,6 +27,16 @@ proved optimality gap ``ub - lb``, up to 10^5–10^6 nodes:
   Lemma 2 incidence slacks over an
   :class:`~repro.graphs.indexed_tree.IndexedTree`.
 
+The two label-level solvers share LP(1)'s separation path with the exact
+solver instead of copying it: every row they see comes from
+:meth:`~repro.subsidies.sne_lp.LP1Separation.rows` (the row builder of
+``sne-cutting-plane``'s oracle), the primal-dual's rounds are
+:func:`~repro.lp.cutting_plane.cutting_plane_rounds` (the loop
+:func:`~repro.lp.cutting_plane.solve_with_cutting_planes` consumes), and
+the greedy and the primal-dual's completions run one greedy loop,
+``_greedy_rounds``.  All three solvers stop through one rule,
+``_StopRule``: after each round, ``target_gap`` first, then ``deadline``.
+
 Certificate soundness rests on two facts.  (1) Every pooled row is a
 valid constraint of the full LP(1)/LP(3), so the LP over any row subset
 is a relaxation and its optimum — or any Lagrangian value of it — lower
@@ -40,18 +50,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.games.broadcast import TreeState
-from repro.games.engine import BestResponseEngine
 from repro.graphs.core import IndexedGraph
 from repro.graphs.indexed_tree import IndexedTree
 from repro.graphs.mst import kruskal_mst_ids
-from repro.lp import IncrementalLP, LinearProgram, LPStatus, solve_lp
+from repro.lp import LinearProgram, LPStatus, cutting_plane_rounds, get_backend, solve_lp
 from repro.subsidies.assignment import SubsidyAssignment
-from repro.subsidies.sne_lp import AnyState, SNEResult, _verify_with_binding
+from repro.subsidies.sne_lp import AnyState, LP1Separation, SNEResult
 from repro.utils.tolerances import LP_TOL
 
 #: pooled-row LPs are solved exactly below this edge count; above it the
@@ -125,6 +133,54 @@ class AnytimeLog:
             "iterates": [[r, ub, lb] for r, ub, lb in self.iterates],
             "stopped": self.stopped,
         }
+
+
+@dataclass
+class _StopRule:
+    """The one deadline/target-gap stopping rule of every anytime loop.
+
+    After each round, :meth:`after_round` logs the round's bracket (when
+    the rule holds an :class:`AnytimeLog`) and names the stop the round
+    triggers: ``"target-gap"`` once ``(ub - lb) / ub <= target_gap``, else
+    ``"deadline"`` once the wall clock passes ``deadline_at``.  The lower
+    bound is a callable, evaluated only when the log or the gap test
+    needs it.
+    """
+
+    deadline_at: Optional[float] = None
+    target_gap: Optional[float] = None
+    log: Optional[AnytimeLog] = None
+
+    @classmethod
+    def start(
+        cls, anytime: bool, deadline: Optional[float], target_gap: Optional[float]
+    ) -> "_StopRule":
+        """A rule whose ``deadline`` (seconds) runs from now."""
+        deadline_at = time.monotonic() + deadline if deadline is not None else None
+        return cls(deadline_at, target_gap, AnytimeLog() if anytime else None)
+
+    def after_round(
+        self, round_idx: int, ub: float, lower_bound: Callable[[], float]
+    ) -> Optional[str]:
+        gap_check = self.target_gap is not None and ub > 0
+        if self.log is not None or gap_check:
+            lb = lower_bound()
+            if self.log is not None:
+                self.log.record(round_idx, ub, lb)
+            if gap_check and (ub - lb) / ub <= self.target_gap:
+                return "target-gap"
+        if self.deadline_at is not None and time.monotonic() >= self.deadline_at:
+            return "deadline"
+        return None
+
+    def finish(
+        self, stopped: str, round_idx: int, ub: float, lb: float
+    ) -> Optional[AnytimeLog]:
+        """Close the log with the final bracket and the reason the loop ended."""
+        if self.log is not None:
+            self.log.stopped = stopped
+            self.log.record(round_idx, ub, lb)
+        return self.log
 
 
 @dataclass
@@ -233,13 +289,12 @@ def _resolve_bound(bound: str, num_edges: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _established_eids(state: AnyState, ig) -> List[int]:
-    """Edge ids of the target state's established edges."""
-    if isinstance(state, TreeState):
-        edges = [e for e in state.edges if state.loads[e] > 0]
-    else:
-        edges = list(state.established_edges())
-    return [ig.edge_id_of(e) for e in edges]
+def _full_target(state: AnyState, sep: LP1Separation) -> np.ndarray:
+    """Every established target edge fully subsidized (always feasible)."""
+    eids = [sep.engine.ig.edge_id_of(e) for e in state.established_edges()]
+    b = np.zeros(len(sep.weights))
+    b[eids] = sep.weights[eids]
+    return b
 
 
 class _RowPool:
@@ -275,61 +330,45 @@ class _RowPool:
         return lb, "lagrangian"
 
 
-def _oracle_rows(binding, scan, cur_path, weights, n_vars, wb):
-    """Violated players with their LP(1) rows at net weights ``wb``.
-
-    Identical row construction to ``solve_sne_cutting_plane_lp1``'s
-    separation oracle (same share coefficients, same orientation), so the
-    primal-dual loop admits exactly the cuts the exact solver would.
-    """
-    out = []
-    for rec in scan(wb, tol=LP_TOL, find_all=True):
-        row = np.zeros(n_vars)
-        rhs = 0.0
-        for e in cur_path(rec.position):
-            c = binding.current_share_coeff(rec.position, e)
-            row[e] -= c
-            rhs -= weights[e] * c
-        for e in rec.edge_ids:
-            c = binding.joining_share_coeff(rec.position, e)
-            row[e] += c
-            rhs += weights[e] * c
-        out.append((rec, row, float(rhs)))
-    return out
-
-
 def _greedy_rounds(
-    binding,
-    scan,
-    cur_path,
-    weights,
+    sep: LP1Separation,
     b: np.ndarray,
     pool: Optional[_RowPool],
-    deadline_at: Optional[float],
-) -> Tuple[np.ndarray, int, bool]:
+    stop: _StopRule,
+    ub: float,
+) -> Tuple[np.ndarray, int, str]:
     """Fully subsidize every violated player's own path until none remain.
 
-    Mutates and returns ``b``.  Returns ``(b, rounds, timed_out)``;
-    on timeout ``b`` is *not* feasible yet (callers fall back to the
-    full-target assignment).  Termination: a fully subsidized own path
-    costs 0 and deviations are nonnegative, so each round's violated
-    players stay satisfied forever — at most ``n_players`` rounds.
+    Mutates and returns ``b``.  Returns ``(b, rounds, stopped)``; the
+    violated rows go to ``pool`` when one is given, and ``stop`` (with
+    ``ub`` as the round's upper bound) may end the loop early, in which
+    case ``b`` is *not* feasible yet (callers fall back to the full-target
+    assignment).  Termination: a fully subsidized own path costs 0 and
+    deviations are nonnegative, so each round's violated players stay
+    satisfied forever — at most ``n_players`` rounds.
     """
-    n_vars = len(weights)
+    weights = sep.weights
+    cur_path = sep.binding.current_path_eids
     rounds = 0
     while True:
-        if deadline_at is not None and time.monotonic() >= deadline_at and rounds:
-            return b, rounds, True
-        wb = np.maximum(0.0, weights - b)
-        found = _oracle_rows(binding, scan, cur_path, weights, n_vars, wb)
+        found = sep.rows(b)
         if not found:
-            return b, rounds, False
+            return b, rounds, "converged"
         rounds += 1
         for rec, row, rhs in found:
             if pool is not None:
                 pool.add(row, rhs)
             for e in cur_path(rec.position):
                 b[e] = weights[e]
+        # Without a pool (the primal-dual's completions) the rule has no log
+        # and no target gap, so it never asks for the lower bound.
+        stopped = stop.after_round(
+            rounds,
+            ub,
+            lambda: lagrangian_lower_bound(weights, pool.g, pool.total_deficit)[0],
+        )
+        if stopped is not None:
+            return b, rounds, stopped
 
 
 # ---------------------------------------------------------------------------
@@ -363,78 +402,36 @@ def solve_sne_greedy(
     certified relative gap of the *fallback* bracket reaches the target.
     ``anytime`` records the ``(round, ub, lb)`` trajectory.
     """
-    graph = state.game.graph
-    engine = BestResponseEngine.for_graph(graph)
-    binding = engine.bind(state)
-    stats = engine.stats
-    before = stats.snapshot()
-    ig = engine.ig
-    n_vars = engine.num_edges
-    weights = ig.edge_weights
-    cur_path = binding.current_path_eids
-    scan = binding.scan if fast else binding.scan_legacy
-
-    established = _established_eids(state, ig)
-    full_target = np.zeros(n_vars)
-    full_target[established] = weights[established]
+    sep = LP1Separation(state, fast)
+    backend = get_backend(method).name
+    weights = sep.weights
+    full_target = _full_target(state, sep)
     ub_fallback = float(full_target.sum())
+    stop = _StopRule.start(anytime, deadline, target_gap)
+    pool = _RowPool(len(weights))
+    bound_mode = _resolve_bound(bound, len(weights))
 
-    deadline_at = time.monotonic() + deadline if deadline is not None else None
-    pool = _RowPool(n_vars)
-    log = AnytimeLog() if anytime else None
-    bound_mode = _resolve_bound(bound, n_vars)
-
-    b = np.zeros(n_vars)
-    rounds = 0
-    timed_out = False
-    stopped = "converged"
-    gap_check = target_gap is not None and ub_fallback > 0
-    while True:
-        if deadline_at is not None and time.monotonic() >= deadline_at and rounds:
-            timed_out = True
-            stopped = "deadline"
-            break
-        wb = np.maximum(0.0, weights - b)
-        found = _oracle_rows(binding, scan, cur_path, weights, n_vars, wb)
-        if not found:
-            break
-        rounds += 1
-        for rec, row, rhs in found:
-            pool.add(row, rhs)
-            for e in cur_path(rec.position):
-                b[e] = weights[e]
-        if log is not None or gap_check:
-            lb_r, _ = lagrangian_lower_bound(weights, pool.g, pool.total_deficit)
-            if log is not None:
-                log.record(rounds, ub_fallback, lb_r)
-            if gap_check and (ub_fallback - lb_r) / ub_fallback <= target_gap:
-                timed_out = True  # settle via the feasible fallback
-                stopped = "target-gap"
-                break
-
-    if timed_out:
-        b = full_target.copy()
-
-    subsidies = SubsidyAssignment.from_vector(graph, list(ig.edge_labels), b)
+    b, rounds, stopped = _greedy_rounds(
+        sep, np.zeros(len(weights)), pool, stop, ub_fallback
+    )
+    fell_back = stopped != "converged"
+    subsidies = sep.assignment(full_target if fell_back else b)
     cost = subsidies.cost
     lb, kind = pool.lower_bound(weights, bound_mode, method)
     lb = min(lb, cost)
     certificate = GapCertificate(kind, lb, cost)
-    if log is not None:
-        log.stopped = stopped
-        log.record(rounds + (1 if timed_out else 0), cost, lb)
-    verified = _verify_with_binding(engine, binding, subsidies, fast) if verify else True
     return ApproxSNEResult(
         subsidies=subsidies,
         cost=cost,
         feasible=True,
-        verified=verified,
+        verified=sep.verified(subsidies, verify),
         method="greedy",
         rounds=max(rounds, 1),
         cuts=len(pool.rows),
-        profile=stats.delta(before),
+        profile=sep.profile(),
+        backend=backend,
         certificate=certificate,
-        anytime=log,
+        anytime=stop.finish(stopped, rounds + int(fell_back), cost, lb),
         optimal=certificate.proves_optimal,
     )
 
@@ -456,145 +453,96 @@ def solve_sne_primal_dual(
 ) -> ApproxSNEResult:
     """LP(1) cutting planes run anytime: monotone certified lower bounds.
 
-    The loop is the exact solver's loop (same incremental LP, same oracle
-    rounding, same cut order): run to convergence it returns the same
-    optimum — and byte-identical subsidies — as ``sne-cutting-plane``,
-    with certificate kind ``"exact"`` and gap 0.  Each round's LP
-    objective is a certified lower bound (LP over a row subset is a
-    relaxation of LP(1)), monotone because rows only accumulate.  Upper
-    bounds come from greedy completion of the current LP iterate
-    (computed per round when ``anytime``, else only at an early stop),
-    seeded with the always-feasible full-target assignment.  ``deadline``
-    / ``target_gap`` stop early with the best feasible vector found.
+    The loop is the exact solver's loop
+    (:func:`~repro.lp.cutting_plane.cutting_plane_rounds` over the same
+    relaxation and the same
+    :class:`~repro.subsidies.sne_lp.LP1Separation` cuts): run to
+    convergence it returns the same optimum — and byte-identical
+    subsidies — as ``sne-cutting-plane``, with certificate kind
+    ``"exact"`` and gap 0.  Each round's LP objective is a certified
+    lower bound (LP over a row subset is a relaxation of LP(1)), monotone
+    because rows only accumulate.  Upper bounds come from greedy
+    completion of the current LP iterate (computed per round when
+    ``anytime``, else only at an early stop), seeded with the
+    always-feasible full-target assignment.  ``deadline`` /
+    ``target_gap`` stop early with the best feasible vector found.
     """
-    graph = state.game.graph
-    engine = BestResponseEngine.for_graph(graph)
-    binding = engine.bind(state)
-    stats = engine.stats
-    before = stats.snapshot()
-    ig = engine.ig
-    n_vars = engine.num_edges
-    all_edges = list(ig.edge_labels)
-    weights = ig.edge_weights
-    cur_path = binding.current_path_eids
-    scan = binding.scan if fast else binding.scan_legacy
-
-    lp: Union[IncrementalLP, LinearProgram]
-    if fast:
-        lp = IncrementalLP(n_vars, c=np.ones(n_vars), upper=weights.copy())
-    else:
-        lp = LinearProgram(n_vars=n_vars, c=np.ones(n_vars), upper=weights.copy())
-
-    established = _established_eids(state, ig)
-    best_ub_vec = np.zeros(n_vars)
-    best_ub_vec[established] = weights[established]
+    sep = LP1Separation(state, fast)
+    backend = get_backend(method).name
+    weights = sep.weights
+    lp = sep.relaxation()
+    best_ub_vec = _full_target(state, sep)
     best_ub = float(best_ub_vec.sum())
+    stop = _StopRule.start(anytime, deadline, target_gap)
+    completion = _StopRule(stop.deadline_at)
 
-    deadline_at = time.monotonic() + deadline if deadline is not None else None
-    log = AnytimeLog() if anytime else None
+    def complete(x: np.ndarray) -> None:
+        """Lower ``best_ub`` to the greedy completion of ``x``, if it finishes."""
+        nonlocal best_ub, best_ub_vec
+        b0 = np.minimum(np.where(x > 1e-12, x, 0.0), weights)
+        done, _r, stopped = _greedy_rounds(sep, b0, None, completion, best_ub)
+        if stopped == "converged" and float(done.sum()) < best_ub:
+            best_ub, best_ub_vec = float(done.sum()), done
+
     lb = 0.0
     rounds = 0
     cuts_added = 0
-    converged = False
     stopped = "max-rounds"
-    final_x: Optional[np.ndarray] = None
     last_x: Optional[np.ndarray] = None
-
-    def completed_ub(x: np.ndarray) -> Optional[np.ndarray]:
-        b0 = np.minimum(np.where(x > 1e-12, x, 0.0), weights)
-        done, _r, out_of_time = _greedy_rounds(
-            binding, scan, cur_path, weights, b0, None, deadline_at
-        )
-        return None if out_of_time else done
-
-    for round_idx in range(1, max_rounds + 1):
-        rounds = round_idx
-        if isinstance(lp, IncrementalLP):
-            res = lp.solve(method=method)
-        else:
-            res = solve_lp(lp, method=method)
-        if res.status is not LPStatus.OPTIMAL or res.x is None:
-            stats.cut_rounds += rounds
-            if isinstance(lp, IncrementalLP):
-                stats.warm_start_hits += lp.stats.warm_start_hits
-            zero = SubsidyAssignment.zero(graph)
+    for rounds, res, violated in cutting_plane_rounds(lp, sep.cuts, method, max_rounds):
+        if violated is None:
+            sep.count_rounds(lp, rounds)
             return ApproxSNEResult(
-                subsidies=zero,
+                subsidies=SubsidyAssignment.zero(sep.graph),
                 cost=float("inf"),
                 feasible=False,
                 verified=False,
                 method="primal-dual",
                 rounds=rounds,
                 cuts=cuts_added,
-                profile=stats.delta(before),
+                profile=sep.profile(),
+                backend=backend,
                 certificate=GapCertificate("exact", float("inf"), float("inf")),
-                anytime=log,
+                anytime=stop.log,
             )
         lb = max(lb, float(res.objective))
         last_x = res.x
-        b_round = np.where(res.x > 1e-12, res.x, 0.0)
-        wb = np.maximum(0.0, weights - b_round)
-        found = _oracle_rows(binding, scan, cur_path, weights, n_vars, wb)
-        if not found:
-            converged = True
+        if not violated:
             stopped = "converged"
-            final_x = res.x
             break
         if anytime:
-            comp = completed_ub(res.x)
-            if comp is not None:
-                comp_cost = float(comp.sum())
-                if comp_cost < best_ub:
-                    best_ub, best_ub_vec = comp_cost, comp
-        if log is not None:
-            log.record(round_idx, best_ub, lb)
-        if (
-            target_gap is not None
-            and best_ub > 0
-            and (best_ub - lb) / best_ub <= target_gap
-        ):
-            stopped = "target-gap"
+            complete(res.x)
+        halt = stop.after_round(rounds, best_ub, lambda: lb)
+        if halt is not None:
+            stopped = halt
             break
-        if deadline_at is not None and time.monotonic() >= deadline_at:
-            stopped = "deadline"
-            break
-        for _rec, row, rhs in found:
-            lp.add_constraint(row, rhs)
-            cuts_added += 1
+        cuts_added += len(violated)
+    sep.count_rounds(lp, rounds)
 
-    stats.cut_rounds += rounds
-    if isinstance(lp, IncrementalLP):
-        stats.warm_start_hits += lp.stats.warm_start_hits
-
-    if converged and final_x is not None:
-        subsidies = SubsidyAssignment.from_vector(graph, all_edges, final_x)
-        cost = subsidies.cost
-        certificate = GapCertificate("exact", min(lb, cost), cost)
+    if stopped == "converged":
+        subsidies = sep.assignment(last_x)
+        kind = "exact"
     else:
         if (stopped == "max-rounds" or not anytime) and last_x is not None:
             # One completion attempt from the last iterate before falling
             # back to the full-target assignment.
-            comp = completed_ub(last_x)
-            if comp is not None and float(comp.sum()) < best_ub:
-                best_ub, best_ub_vec = float(comp.sum()), comp
-        subsidies = SubsidyAssignment.from_vector(graph, all_edges, best_ub_vec)
-        cost = subsidies.cost
-        certificate = GapCertificate("lp-relaxation", min(lb, cost), cost)
-    if log is not None:
-        log.stopped = stopped
-        log.record(rounds, cost, certificate.lower_bound)
-    verified = _verify_with_binding(engine, binding, subsidies, fast) if verify else True
+            complete(last_x)
+        subsidies = sep.assignment(best_ub_vec)
+        kind = "lp-relaxation"
+    cost = subsidies.cost
+    certificate = GapCertificate(kind, min(lb, cost), cost)
     return ApproxSNEResult(
         subsidies=subsidies,
         cost=cost,
         feasible=True,
-        verified=verified,
+        verified=sep.verified(subsidies, verify),
         method="primal-dual",
         rounds=rounds,
         cuts=cuts_added,
-        profile=stats.delta(before),
+        profile=sep.profile(),
+        backend=backend,
         certificate=certificate,
-        anytime=log,
+        anytime=stop.finish(stopped, rounds, cost, certificate.lower_bound),
         optimal=certificate.proves_optimal,
     )
 
@@ -697,8 +645,7 @@ def solve_sne_greedy_indexed(
     established = tree_eids[loads[tree_eids] > 0]
     ub_fallback = float(w[established].sum())
 
-    deadline_at = time.monotonic() + deadline if deadline is not None else None
-    log = AnytimeLog() if anytime else None
+    stop = _StopRule.start(anytime, deadline, target_gap)
     b = np.zeros(m)
     g = np.zeros(m)
     total_deficit = 0.0
@@ -706,7 +653,6 @@ def solve_sne_greedy_indexed(
     pe = tree.parent_eid
     rounds = 0
     stopped = "converged"
-    gap_check = target_gap is not None and ub_fallback > 0
 
     def _mark_paths(tops: np.ndarray, stops: np.ndarray) -> np.ndarray:
         """Nodes x whose parent edge lies on >=1 path top -> stop (counts)."""
@@ -718,9 +664,6 @@ def solve_sne_greedy_indexed(
     # loop that finds no violation has verified its answer.
     p1, p2 = p1_0, p2_0  # b = 0 in round 1
     while True:
-        if deadline_at is not None and time.monotonic() >= deadline_at and rounds:
-            stopped = "deadline"
-            break
         if rounds:
             wn = w - b
             p1 = tree.prefix_sum_edges(wn * inv_own)
@@ -750,13 +693,12 @@ def solve_sne_greedy_indexed(
         hit = np.flatnonzero(cnt > 0)
         hit = hit[hit != root]
         b[pe[hit]] = w[pe[hit]]
-        if log is not None or gap_check:
-            lb_r, _ = lagrangian_lower_bound(w, g, total_deficit)
-            if log is not None:
-                log.record(rounds, ub_fallback, lb_r)
-            if gap_check and (ub_fallback - lb_r) / ub_fallback <= target_gap:
-                stopped = "target-gap"
-                break
+        halt = stop.after_round(
+            rounds, ub_fallback, lambda: lagrangian_lower_bound(w, g, total_deficit)[0]
+        )
+        if halt is not None:
+            stopped = halt
+            break
 
     fell_back = stopped != "converged"
     if fell_back:
@@ -768,9 +710,6 @@ def solve_sne_greedy_indexed(
     lb, _lam = lagrangian_lower_bound(w, g, total_deficit)
     lb = min(lb, cost)
     certificate = GapCertificate("lagrangian", lb, cost)
-    if log is not None:
-        log.stopped = stopped
-        log.record(rounds + (1 if fell_back else 0), cost, lb)
     return IndexedApproxResult(
         subsidy_vector=b,
         cost=cost,
@@ -781,5 +720,5 @@ def solve_sne_greedy_indexed(
         certificate=certificate,
         tree_eids=tree_eids,
         num_incidences=int(keep.sum()),
-        anytime=log,
+        anytime=stop.finish(stopped, rounds + int(fell_back), cost, lb),
     )

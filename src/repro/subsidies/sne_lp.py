@@ -244,6 +244,90 @@ def solve_sne_broadcast_lp3(
 # ---------------------------------------------------------------------------
 
 
+class LP1Separation:
+    """LP (1)'s separation oracle over one target state, for every solver.
+
+    The state's engine binding both prices the oracle's shortest-path
+    scan and supplies the cut-row share coefficients
+    (:meth:`~repro.games.engine._StateBinding.current_share_coeff` /
+    ``joining_share_coeff``), so nothing here needs to know which sharing
+    rule is in force.  ``fast=False`` scans through the pre-batching
+    :meth:`~repro.games.engine._StateBinding.scan_legacy` reference and
+    builds dense relaxations; both paths admit the same rows.
+
+    :meth:`rows` is LP (1)'s one row builder: the exact solver's cuts, the
+    greedy's pooled rows and the primal-dual's cuts all come from it.
+    """
+
+    def __init__(self, state: AnyState, fast: bool) -> None:
+        self.graph = state.game.graph
+        self.engine = BestResponseEngine.for_graph(self.graph)
+        self.binding = self.engine.bind(state)
+        self.stats = self.engine.stats
+        self._before = self.stats.snapshot()
+        self.fast = fast
+        self.weights = self.engine.ig.edge_weights
+        self._scan = self.binding.scan if fast else self.binding.scan_legacy
+
+    def rows(self, b: np.ndarray) -> List[Tuple[object, np.ndarray, float]]:
+        """Every player violated at subsidies ``b``, with its LP (1) row.
+
+        Each violated deviation gives ``(record, row, rhs)`` for the row
+        ``row . b <= rhs``, that is::
+
+            sum_{a in T_i} c_a (w_a - b_a)  -  sum_{a in T'} c'_a (w_a - b_a) <= 0
+
+        with ``c_a = 1/n_a`` and ``c'_a = 1/(n_a + 1 - n_a^i)`` under fair
+        sharing (``alpha_i(a)/L_a`` and ``alpha_i(a)/(L_a + alpha_i(a) -
+        alpha_i(a) n_a^i)`` in general); edges on both paths carry equal
+        coefficients and cancel exactly.
+        """
+        weights = self.weights
+        binding = self.binding
+        out = []
+        for rec in self._scan(np.maximum(0.0, weights - b), tol=LP_TOL, find_all=True):
+            row = np.zeros(len(weights))
+            rhs = 0.0
+            for e in binding.current_path_eids(rec.position):
+                c = binding.current_share_coeff(rec.position, e)
+                row[e] -= c
+                rhs -= weights[e] * c
+            for e in rec.edge_ids:
+                c = binding.joining_share_coeff(rec.position, e)
+                row[e] += c
+                rhs += weights[e] * c
+            out.append((rec, row, float(rhs)))
+        return out
+
+    def cuts(self, x: np.ndarray) -> List[Tuple[np.ndarray, float]]:
+        """The cutting-plane oracle: the rows violated at the LP iterate ``x``."""
+        return [(row, rhs) for _rec, row, rhs in self.rows(np.where(x > 1e-12, x, 0.0))]
+
+    def relaxation(self) -> Union[IncrementalLP, LinearProgram]:
+        """LP (1) without rows: ``min sum b`` over ``0 <= b <= w``."""
+        n = len(self.weights)
+        if self.fast:
+            return IncrementalLP(n, c=np.ones(n), upper=self.weights.copy())
+        return LinearProgram(n_vars=n, c=np.ones(n), upper=self.weights.copy())
+
+    def count_rounds(self, lp: Union[IncrementalLP, LinearProgram], rounds: int) -> None:
+        self.stats.cut_rounds += rounds
+        if isinstance(lp, IncrementalLP):
+            self.stats.warm_start_hits += lp.stats.warm_start_hits
+
+    def assignment(self, b: np.ndarray) -> SubsidyAssignment:
+        return SubsidyAssignment.from_vector(self.graph, list(self.engine.ig.edge_labels), b)
+
+    def verified(self, subsidies: SubsidyAssignment, verify: bool) -> bool:
+        if not verify:
+            return True
+        return _verify_with_binding(self.engine, self.binding, subsidies, self.fast)
+
+    def profile(self) -> Dict[str, int]:
+        """The engine's work counters since this oracle was bound."""
+        return self.stats.delta(self._before)
+
+
 def solve_sne_cutting_plane_lp1(
     state: AnyState,
     method: str = "highs",
@@ -256,22 +340,10 @@ def solve_sne_cutting_plane_lp1(
 
     Works for *every* game family — broadcast trees, general states, and
     the rule-priced families (weighted demands, per-edge splits, directed
-    arcs): the state's engine binding both prices the separation oracle
-    and supplies the cut-row share coefficients
-    (:meth:`~repro.games.engine._StateBinding.current_share_coeff` /
-    ``joining_share_coeff``), so the LP never needs to know which sharing
-    rule is in force.  Variables cover *all* graph edges (as in the
-    paper's presentation); optimal solutions put nothing on non-target
-    edges, which the tests assert.
-
-    Each violated deviation contributes the LP (1) row::
-
-        sum_{a in T_i} c_a (w_a - b_a)  -  sum_{a in T'} c'_a (w_a - b_a) <= 0
-
-    with ``c_a = 1/n_a`` and ``c'_a = 1/(n_a + 1 - n_a^i)`` under fair
-    sharing (``alpha_i(a)/L_a`` and ``alpha_i(a)/(L_a + alpha_i(a) -
-    alpha_i(a) n_a^i)`` in general); edges on both paths carry equal
-    coefficients and cancel exactly.
+    arcs): :class:`LP1Separation` builds each violated deviation's row
+    from the state's engine binding.  Variables cover *all* graph edges
+    (as in the paper's presentation); optimal solutions put nothing on
+    non-target edges, which the tests assert.
 
     ``fast`` (the default) runs the optimized subsystem: cut rows append
     into a sparse :class:`~repro.lp.incremental.IncrementalLP` and every
@@ -283,49 +355,13 @@ def solve_sne_cutting_plane_lp1(
     and returns identical results; ``benchmarks/bench_lp_warmstart.py``
     gates the speedup and the equality.
     """
-    graph = state.game.graph
-    engine = BestResponseEngine.for_graph(graph)
-    binding = engine.bind(state)
-    stats = engine.stats
-    before = stats.snapshot()
-    ig = engine.ig
-    n_vars = engine.num_edges
-    all_edges: List[Edge] = list(ig.edge_labels)
-    weights = ig.edge_weights
-    cur_path = binding.current_path_eids  # resolved lazily per violated player
-    scan = binding.scan if fast else binding.scan_legacy
-
-    lp: Union[IncrementalLP, LinearProgram]
-    if fast:
-        lp = IncrementalLP(n_vars, c=np.ones(n_vars), upper=weights.copy())
-    else:
-        lp = LinearProgram(n_vars=n_vars, c=np.ones(n_vars), upper=weights.copy())
-
-    def oracle(x: np.ndarray):
-        b = np.where(x > 1e-12, x, 0.0)
-        wb = np.maximum(0.0, weights - b)
-        cuts = []
-        for rec in scan(wb, tol=LP_TOL, find_all=True):
-            row = np.zeros(n_vars)
-            rhs = 0.0
-            for e in cur_path(rec.position):
-                c = binding.current_share_coeff(rec.position, e)
-                row[e] -= c
-                rhs -= weights[e] * c
-            for e in rec.edge_ids:
-                c = binding.joining_share_coeff(rec.position, e)
-                row[e] += c
-                rhs += weights[e] * c
-            cuts.append((row, float(rhs)))
-        return cuts
-
+    sep = LP1Separation(state, fast)
+    lp = sep.relaxation()
     backend = get_backend(method).name
-    out = solve_with_cutting_planes(lp, oracle, method=method, max_rounds=max_rounds)
-    stats.cut_rounds += out.rounds
-    if isinstance(lp, IncrementalLP):
-        stats.warm_start_hits += lp.stats.warm_start_hits
+    out = solve_with_cutting_planes(lp, sep.cuts, method=method, max_rounds=max_rounds)
+    sep.count_rounds(lp, out.rounds)
     if not out.ok:
-        return _infeasible(graph, "lp1", backend=backend)
+        return _infeasible(sep.graph, "lp1", backend=backend)
     # LP (1) certification targets the *final accumulated relaxation* —
     # exactly the LP whose optimum the float answer is.  Its exact optimum
     # is a certified lower bound on the full (exponential) LP (1) optimum,
@@ -334,19 +370,16 @@ def solve_sne_cutting_plane_lp1(
     cert = (
         _certify_lp(lp, "lp1-relaxation", out.result.objective) if certify else None
     )
-    subsidies = SubsidyAssignment.from_vector(graph, all_edges, out.result.x)
-    verified = (
-        _verify_with_binding(engine, binding, subsidies, fast) if verify else True
-    )
+    subsidies = sep.assignment(out.result.x)
     return SNEResult(
         subsidies,
         subsidies.cost,
         True,
-        verified,
+        sep.verified(subsidies, verify),
         "lp1",
         rounds=out.rounds,
         cuts=out.cuts_added,
-        profile=stats.delta(before),
+        profile=sep.profile(),
         backend=backend,
         certificate=cert,
     )

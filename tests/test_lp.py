@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.lp import (
     LinearProgram,
     LPStatus,
+    cutting_plane_rounds,
     simplex_solve,
     solve_lp,
     solve_with_cutting_planes,
@@ -174,6 +175,25 @@ class TestCuttingPlanes:
         )
         assert not out.converged
         assert out.rounds == 3
+
+    def test_max_rounds_below_one_is_a_value_error(self):
+        # A caller's bad option (serve answers it 400), not an internal fault.
+        lp = _lp([0.0], [], [], upper=np.array([1.0]))
+        with pytest.raises(ValueError, match="max_rounds"):
+            solve_with_cutting_planes(lp, lambda x: [], max_rounds=0)
+
+    def test_rounds_are_yielded_before_their_cuts_are_added(self):
+        lp = _lp([0.0], [], [], upper=np.array([1.0]))
+        cut = (np.array([1.0]), 2.0)
+        seen = []
+        for round_idx, result, violated in cutting_plane_rounds(
+            lp, lambda x: [cut], max_rounds=3
+        ):
+            seen.append((round_idx, len(lp.rows), violated == [cut]))
+            if round_idx == 2:
+                break  # round 2's cut is never added
+        assert seen == [(1, 0, True), (2, 1, True)]
+        assert len(lp.rows) == 1
 
     def test_infeasible_cut(self):
         lp = _lp([1.0], [], [], upper=np.array([1.0]))

@@ -10,7 +10,8 @@ import json
 import socket
 import struct
 import threading
-from contextlib import contextmanager
+import time
+from contextlib import ExitStack, contextmanager
 from http.client import HTTPConnection, HTTPResponse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -277,3 +278,19 @@ def test_other_handler_errors_keep_their_traceback(capfd):
         server.server_close()
     err = capfd.readouterr().err
     assert "Traceback" in err and "a genuine handler bug" in err
+
+
+@pytest.mark.parametrize("daemon", sorted(DAEMONS))
+def test_daemon_closes_within_a_poll_tick(daemon):
+    """Shutting a serving daemon down takes one poll tick, not socketserver's
+    default half second; best of three, so one slow tick on a busy host does
+    not fail it."""
+    times = []
+    for _ in range(3):
+        with ExitStack() as stack:
+            port, _path = stack.enter_context(DAEMONS[daemon]())
+            with net.JSONClient("127.0.0.1", port, timeout=5) as client:
+                client.healthz()
+            start = time.perf_counter()
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1, times

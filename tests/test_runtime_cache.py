@@ -284,3 +284,45 @@ class TestInvalidation:
         # and each repeats as a hit against its own cell
         assert SweepRunner(cache=cache).run(jobs).cache_hits == 1
         assert SweepRunner(cache=cache).run(jobs2).cache_hits == 1
+
+
+class TestSolveEntryShape:
+    """The serve daemon and the sweep runner write one entry shape, so the
+    two share one response store (``runtime.cache.store_solve_entry``)."""
+
+    KEYS = {"kind", "key", "status", "solver", "report", "elapsed_seconds", "created_at"}
+
+    def _entries(self, cache):
+        return [cache.get(key) for key in sorted(cache.keys())]
+
+    def _check(self, entries, solver):
+        assert entries
+        for entry in entries:
+            assert set(entry) == self.KEYS
+            assert (entry["kind"], entry["status"], entry["solver"]) == (
+                "solve-entry", "ok", solver,
+            )
+            assert entry["report"]["kind"] == "solve-report"
+
+    def test_runner_entries(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        jobs = SweepSpec(solvers=["sne-lp3"], sizes=[8], seed=1).expand()
+        SweepRunner(cache=cache).run(jobs)
+        entries = self._entries(cache)
+        self._check(entries, "sne-lp3")
+        assert [e["key"] for e in entries] == sorted(
+            k for k in sweep_job_keys(jobs).values() if k
+        )
+
+    def test_serve_entries(self, tmp_path, instance_json):
+        from repro.serve import ServeConfig, SolverService
+
+        cache = ResultCache(tmp_path)
+        service = SolverService(ServeConfig(cache=cache))
+        service.solve_json({"instance": instance_json, "solver": "sne-lp3"})
+        entries = self._entries(cache)
+        self._check(entries, "sne-lp3")
+        spec = get_solver("sne-lp3")
+        assert [e["key"] for e in entries] == [
+            solve_job_key(instance_json, spec.name, spec.version, {})
+        ]

@@ -823,6 +823,46 @@ class TestCertifiedGaps:
         assert max(budgets) > 0.0
 
 
+#: one instance per game family on which the label greedy needs >= 1 round
+_STOP_INSTANCES = {
+    "broadcast": ("grid", {}),
+    "multicast": ("hypercube", {"terminals": "half"}),
+    "general": ("power-law", {"pairs": "random"}),
+    "weighted": ("grid", {"demands": "random"}),
+    "directed": ("grid", {"orientation": "oneway-chords"}),
+}
+
+
+class TestGreedyEarlyStops:
+    """The label greedy's ``deadline`` and ``target-gap`` stops fall back to
+    fully subsidizing the established target edges."""
+
+    @pytest.mark.parametrize("family", sorted(_STOP_INSTANCES))
+    @pytest.mark.parametrize(
+        "stop, opts", [("deadline", {"deadline": 0.0}), ("target-gap", {"target_gap": 1.0})]
+    )
+    def test_stop_falls_back_to_full_target(self, family, stop, opts):
+        name, knobs = _STOP_INSTANCES[family]
+        state = build_scenario(name, n=16, seed=7, game=family, **knobs).default_state()
+        assert solve_sne_greedy(state).cost > 0.0  # a round with violations runs
+
+        res = solve_sne_greedy(state, anytime=True, **opts)
+        assert res.feasible and res.verified
+        report = api.solve(state, "approx-greedy", **opts)
+        graph = state.game.graph
+        full = {e: graph.weight(*e) for e in report.target_edges}
+        assert dict(res.subsidies.items()) == full
+        assert res.cost == pytest.approx(report.target_cost)
+        assert report.verified and report.metadata["certificate"]["upper_bound"] == res.cost
+        # Both stops fire after the first round; the final log entry is the
+        # fallback's bracket one round later.
+        assert res.rounds == 1
+        assert res.anytime.stopped == stop
+        assert res.anytime.iterates[-1] == (2, res.cost, res.certificate.lower_bound)
+        assert res.certificate.upper_bound == res.cost
+        assert 0.0 <= res.certificate.lower_bound <= res.cost
+
+
 class TestPrimalDual:
     @pytest.mark.parametrize("family", sorted(_family_zoo()))
     def test_converges_to_exact_subsidies(self, family, zoo_states):

@@ -186,7 +186,6 @@ class TestServeConfig:
             {"workers": 0},
             {"queue": -1},
             {"lru_size": 0},
-            {"batch_window": -0.1},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -219,6 +218,10 @@ class TestSolverService:
             (
                 {"instance": _instance(), "solver": "sne-lp2", "opts": "x"},
                 "'opts' must be a dict",
+            ),
+            (
+                {"instance": _instance(), "solver": "sne-lp1", "opts": {"max_rounds": 0}},
+                "max_rounds must be >= 1",
             ),
         ],
     )
