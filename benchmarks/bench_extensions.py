@@ -9,17 +9,25 @@ from repro.games.coalitions import check_strong_equilibrium
 from repro.games.game import NetworkDesignGame
 from repro.graphs import Graph
 from repro.graphs.generators import random_connected_gnp
+from repro.graphs.shortest_paths import dijkstra
 from repro.graphs.steiner import steiner_tree
 from repro.subsidies import solve_sne_broadcast_lp3
 from repro.subsidies.combinatorial import combinatorial_sne
 
 
-@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("k", [3, 5, 10])
 def test_steiner_dreyfus_wagner(benchmark, k):
     g = random_connected_gnp(25, 0.2, seed=k)
     terminals = list(range(0, 2 * k, 2))
     edges, w = benchmark(steiner_tree, g, terminals)
     assert w > 0 and edges
+    if k == 3:
+        # The brute force over Steiner-point subsets: for three terminals
+        # a minimum tree is three shortest paths meeting at one node, so
+        # trying every node as the meeting point is exhaustive (the subset
+        # enumeration of steiner_tree_brute_force would take 2^22 MSTs here).
+        dists = [dijkstra(g, t)[0] for t in terminals]
+        assert w == pytest.approx(min(sum(d[v] for d in dists) for v in g.nodes), abs=1e-9)
 
 
 def test_multicast_sne(benchmark):

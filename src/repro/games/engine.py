@@ -37,7 +37,7 @@ Layers on top:
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -484,39 +484,51 @@ class _TreeBinding(_StateBinding):
         np.divide(wb, self._denom_join, out=vals[m : 2 * m])
         vals[2 * m : 3 * m] = wb
         vals[3 * m] = 0.0
+        # Chunks are built on first use, so a pass that meets a violation
+        # early never walks the incidences after it.
+        for lhs_slots, rhs_slots, _rows in self.lemma2_blocks():
+            lhs = np.cumsum(vals[lhs_slots], axis=1)[:, -1]
+            rhs = np.cumsum(vals[rhs_slots], axis=1)[:, -1]
+            # _CERT_SLACK absorbs float noise on *tight* constraints (the
+            # LP optimum sits exactly on several of them); even composed
+            # across every incidence of a deviation path it stays orders
+            # of magnitude below the checker's improvement tolerance.
+            scale = np.maximum(np.maximum(lhs, 1.0), np.abs(rhs))
+            if (lhs > rhs + _CERT_SLACK * scale).any():
+                return False
+        return True
+
+    def lemma2_blocks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Every certificate block (see :meth:`_lemma2_blocks`), in chunk order.
+
+        A chunk of ``_CERT_CHUNK`` incidences is walked the first time an
+        iteration reaches it and kept.  LP (3) reads its rows off these
+        blocks (:func:`repro.subsidies.sne_lp.build_broadcast_lp3`), so a
+        solve walks each incidence once for its row and its verification.
+        """
         incidences = self._incidences
         chunks = self._cert_chunks
         for k, start in enumerate(range(0, len(incidences), _CERT_CHUNK)):
-            # Chunks are built on first use, so a pass that meets a
-            # violation early never walks the incidences after it.
             if k == len(chunks):
-                chunks.append(self._lemma2_blocks(incidences[start : start + _CERT_CHUNK]))
-            for lhs_slots, rhs_slots in chunks[k]:
-                lhs = np.cumsum(vals[lhs_slots], axis=1)[:, -1]
-                rhs = np.cumsum(vals[rhs_slots], axis=1)[:, -1]
-                # _CERT_SLACK absorbs float noise on *tight* constraints
-                # (the LP optimum sits exactly on several of them); even
-                # composed across every incidence of a deviation path it
-                # stays orders of magnitude below the checker's
-                # improvement tolerance.
-                scale = np.maximum(np.maximum(lhs, 1.0), np.abs(rhs))
-                if (lhs > rhs + _CERT_SLACK * scale).any():
-                    return False
-        return True
+                chunk = incidences[start : start + _CERT_CHUNK]
+                chunks.append(self._lemma2_blocks(chunk, start))
+            yield from chunks[k]
 
     def _lemma2_blocks(
-        self, incidences: List[Tuple[int, int, int]]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        self, incidences: List[Tuple[int, int, int]], first: int = 0
+    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Value slots of the two sides of ``incidences``, in blocks.
 
-        In a block ``(lhs_slots, rhs_slots)``, row ``r`` of ``lhs_slots``
-        lists the current shares of ``u``'s tree path from ``u`` up to
-        ``lca(u, v)``, and row ``r`` of ``rhs_slots`` the net weight of
-        ``(u, v)`` and then the joining shares of ``v``'s path, each in
-        walk order and padded with the 0.0 slot.  Incidences are sorted
-        by path length and cut into blocks whose rows at most double in
-        length (or that stay within ``_CERT_BLOCK`` slots), so the int32
-        slots take at most about twice the walks' total length.
+        In a block ``(lhs_slots, rhs_slots, rows)``, row ``r`` of
+        ``lhs_slots`` lists the current shares of ``u``'s tree path from
+        ``u`` up to ``lca(u, v)``, and row ``r`` of ``rhs_slots`` the net
+        weight of ``(u, v)`` and then the joining shares of ``v``'s path,
+        each in walk order and padded with the 0.0 slot; ``rows[r]`` is
+        the incidence's index in :attr:`_incidences` (``incidences``
+        starts at index ``first``).  Incidences are sorted by path length
+        and cut into blocks whose rows at most double in length (or that
+        stay within ``_CERT_BLOCK`` slots), so the int32 slots take at
+        most about twice the walks' total length.
         """
         m = self.engine.num_edges
         depth = self.depth
@@ -539,22 +551,24 @@ class _TreeBinding(_StateBinding):
                 rhs.append(m + parent_eid[y])
                 y = parent_nid[y]
             sides.append((lhs, rhs))
-        sides.sort(key=lambda pair: len(pair[0]) + len(pair[1]))
-        lengths = [len(lhs) + len(rhs) for lhs, rhs in sides]
+        sizes = [len(lhs) + len(rhs) for lhs, rhs in sides]
+        order = sorted(range(len(sides)), key=sizes.__getitem__)
+        lengths = [sizes[i] for i in order]
         blocks = []
         start = 0
-        while start < len(sides):
+        while start < len(order):
             stop = start + 1
-            while stop < len(sides) and (
+            while stop < len(order) and (
                 lengths[stop] <= 2 * lengths[start]
                 or (stop + 1 - start) * lengths[stop] <= _CERT_BLOCK
             ):
                 stop += 1
-            chunk = sides[start:stop]
+            chunk = order[start:stop]
             blocks.append(
                 (
-                    _padded_rows([lhs for lhs, _ in chunk], 3 * m),
-                    _padded_rows([rhs for _, rhs in chunk], 3 * m),
+                    _padded_rows([sides[i][0] for i in chunk], 3 * m),
+                    _padded_rows([sides[i][1] for i in chunk], 3 * m),
+                    np.array(chunk, dtype=np.int64) + first,
                 )
             )
             start = stop

@@ -10,7 +10,7 @@ machinery, which applies verbatim.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.graphs.graph import Edge, Graph, Node
 from repro.graphs.steiner import steiner_tree
@@ -40,6 +40,8 @@ class MulticastGame:
         self.root = root
         self.terminals: List[Node] = terms
         self.nd_game = NetworkDesignGame(graph, [(t, root) for t in terms])
+        #: (graph version, root, terminals) -> (edges, weight) of the last design
+        self._design_cache: Optional[Tuple[tuple, Tuple[List[Edge], float]]] = None
 
     @property
     def n_players(self) -> int:
@@ -63,8 +65,19 @@ class MulticastGame:
     # -- optimal designs -----------------------------------------------------
 
     def optimal_design(self) -> Tuple[List[Edge], float]:
-        """Exact minimum Steiner tree over terminals + root."""
-        return steiner_tree(self.graph, [self.root, *self.terminals])
+        """Exact minimum Steiner tree over terminals + root.
+
+        Computed once per game and graph version (the target state, the
+        social optimum and every solve of an interned instance share it);
+        each call returns a fresh edge list.
+        """
+        key = (self.graph._version, self.root, tuple(self.terminals))
+        cached = self._design_cache
+        if cached is None or cached[0] != key:
+            design = steiner_tree(self.graph, [self.root, *self.terminals])
+            cached = self._design_cache = (key, design)
+        edges, weight = cached[1]
+        return list(edges), weight
 
     def state_from_tree(self, edges: Iterable[Tuple[Node, Node]]) -> State:
         """The state where every terminal follows the given tree to the root.

@@ -32,10 +32,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.graphs.core import IndexedGraph
 from repro.graphs.graph import Edge, Graph, Node, canonical_edge
 from repro.lp import (
     ExactCertificate,
@@ -149,64 +151,90 @@ def build_broadcast_lp3(state: TreeState) -> Tuple[IncrementalLP, List[Edge]]:
     :meth:`~repro.lp.incremental.IncrementalLP.to_linear_program`) with
     tightened variable bounds.
 
-    The rows are collected in CSR form and appended with one
-    :meth:`~repro.lp.incremental.IncrementalLP.add_rows` call, giving the
-    same buffers as appending them one ``add_sparse_constraint`` at a time.
+    The rows are a view of the engine binding's Lemma 2 certificate
+    blocks (:meth:`~repro.games.engine._TreeBinding.lemma2_blocks`), the
+    same incidences the solve's verification checks, so the walk runs
+    once per state.  Each right-hand side is one row-wise ``cumsum`` of
+    ``[w_uv, -w_a / n_a ..., +w_a / (n_a + 1) ...]`` in walk order, which
+    adds the terms of a scalar walk in its order, and the rows come out
+    in ``graph.nodes`` x adjacency insertion order, columns sorted.
     """
     game = state.game
     graph = game.graph
-    tree = state.tree
     edges: List[Edge] = state.edges
-    index = {e: i for i, e in enumerate(edges)}
+    engine = BestResponseEngine.for_graph(graph)
+    binding = engine.bind(state)
+    ig = engine.ig
+    m = engine.num_edges
+    w = engine.edge_weights
     n_vars = len(edges)
+    tree_eids = np.array([ig.edge_id_of(e) for e in edges], dtype=np.int64).reshape(n_vars)
+    lp = IncrementalLP(n_vars, c=np.ones(n_vars), upper=w[tree_eids])
 
-    c = np.ones(n_vars)
-    upper = np.array([graph.weight(*e) for e in edges])
-    lp = IncrementalLP(n_vars, c=c, upper=upper)
+    # Per certificate slot (current shares, joining shares, weights, the
+    # 0.0 pad): the term it adds to a right-hand side, and its column and
+    # coefficient.  Edges no player uses (n_a = 0) are never read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.concatenate([-(w / binding.usage), w / (binding.usage + 1), w, [0.0]])
+        coef = np.concatenate([-(1.0 / binding.usage), 1.0 / (binding.usage + 1)])
+    col = np.full(2 * m, -1, dtype=np.int64)
+    col[tree_eids] = col[m + tree_eids] = np.arange(n_vars)
 
-    indptr = [0]
-    indices: List[int] = []
-    data: List[float] = []
-    bounds: List[float] = []
-    tree_edge_set = set(edges)
-    for u in graph.nodes:
-        if u == game.root:
-            continue
-        if game.multiplicity.get(u, 1) == 0:
-            continue
-        for v in graph.neighbors(u):
-            e_uv = canonical_edge(u, v)
-            if e_uv in tree_edge_set:
-                continue
-            # Disjoint subpaths u->lca and v->lca; shared suffix cancels.
-            w = tree.lca(u, v)
-            coeffs: Dict[int, float] = {}
-            rhs = graph.weight(u, v)
-            x = u
-            while x != w:
-                e = tree.edge_to_parent(x)
-                n_a = state.loads[e]
-                coeffs[index[e]] = coeffs.get(index[e], 0.0) - 1.0 / n_a
-                rhs -= graph.weight(*e) / n_a
-                x = tree.parent[x]
-            x = v
-            while x != w:
-                e = tree.edge_to_parent(x)
-                n_a = state.loads[e] + 1  # deviator joins these edges
-                coeffs[index[e]] = coeffs.get(index[e], 0.0) + 1.0 / n_a
-                rhs += graph.weight(*e) / n_a
-                x = tree.parent[x]
-            # The two subpaths are edge-disjoint, so no coefficient sums
-            # to zero and the row is exactly the sorted dict.
-            if coeffs:
-                cols = sorted(coeffs)
-                indices.extend(cols)
-                data.extend(coeffs[i] for i in cols)
-                indptr.append(len(indices))
-                bounds.append(rhs)
-
-    lp.add_rows(indptr, indices, data, bounds)
+    row_of = _lp3_row_order(graph, ig, binding._incidences)
+    bounds = np.empty(len(row_of))
+    rows, slots = [], []
+    for lhs, rhs, incidence in binding.lemma2_blocks():
+        r = row_of[incidence]
+        walk = np.hstack([rhs[:, :1], lhs, rhs[:, 1:]])
+        bounds[r] = np.cumsum(term[walk], axis=1)[:, -1]
+        own = np.hstack([lhs, rhs[:, 1:]])
+        used = own != 3 * m
+        rows.append(np.broadcast_to(r[:, None], own.shape)[used])
+        slots.append(own[used])
+    # u != v, so one side of every incidence is nonempty: no row is empty.
+    row = np.concatenate([np.empty(0, dtype=np.int64), *rows])
+    slot = np.concatenate([np.empty(0, dtype=np.int64), *slots])
+    # A row's columns are distinct (its two subpaths are edge-disjoint),
+    # so the keys are too.
+    order = np.argsort(row * n_vars + col[slot])
+    slot = slot[order]
+    indptr = np.zeros(len(row_of) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=len(row_of)), out=indptr[1:])
+    lp.add_rows(indptr, col[slot], coef[slot], bounds)
     return lp, edges
+
+
+def _lp3_row_order(
+    graph: Graph, ig: IndexedGraph, incidences: List[Tuple[int, int, int]]
+) -> np.ndarray:
+    """LP (3) row of each certificate incidence.
+
+    The binding lists incidences per player (``graph.nodes`` order) in
+    CSR order, by neighbor id; LP (3) keeps each player's rows in the
+    graph's adjacency insertion order.  Both orders key an arc
+    ``(u, v)`` by ``id(u) * n + id(v)``.
+    """
+    n = ig.num_nodes
+    id_of = ig.id_of
+    nodes = graph.nodes
+    heads = np.fromiter(
+        map(id_of, chain.from_iterable(map(graph.adjacency, nodes))),
+        dtype=np.int64,
+        count=2 * ig.num_edges,
+    )
+    tails = np.repeat(
+        np.fromiter(map(id_of, nodes), dtype=np.int64, count=len(nodes)),
+        np.fromiter(map(graph.degree, nodes), dtype=np.int64, count=len(nodes)),
+    )
+    arcs = tails * n + heads
+    by_key = np.argsort(arcs)
+    keys = np.fromiter(
+        (u * n + v for u, v, _e in incidences), dtype=np.int64, count=len(incidences)
+    )
+    inserted = by_key[np.searchsorted(arcs[by_key], keys)]
+    row_of = np.empty(len(incidences), dtype=np.int64)
+    row_of[np.argsort(inserted)] = np.arange(len(incidences))
+    return row_of
 
 
 def solve_sne_broadcast_lp3(

@@ -118,17 +118,17 @@ def test_lemma2_certificate_matches_the_walk(seed):
     engine = BestResponseEngine.for_graph(g)
     binding = engine.bind(state)
     m = engine.num_edges
-    rows = set()
-    for lhs_slots, rhs_slots in binding._lemma2_blocks(binding._incidences):
-        for up, down in zip(lhs_slots.tolist(), rhs_slots.tolist()):
+    rows = {}
+    for lhs_slots, rhs_slots, ids in binding._lemma2_blocks(binding._incidences):
+        for row, (up, down) in zip(ids.tolist(), zip(lhs_slots.tolist(), rhs_slots.tolist())):
             up = [k for k in up if k != 3 * m]
             down = [k for k in down if k != 3 * m]
-            rows.add((tuple(up), down[0] - 2 * m, tuple(k - m for k in down[1:])))
-    walks = set()
-    for uid, vid, e_uv in binding._incidences:
+            rows[row] = (tuple(up), down[0] - 2 * m, tuple(k - m for k in down[1:]))
+    walks = {}
+    for k, (uid, vid, e_uv) in enumerate(binding._incidences):
         up, down = _lca_walk(binding, uid, vid, e_uv)
-        walks.add((tuple(up), e_uv, tuple(down)))
-    assert rows == walks and len(walks) == len(binding._incidences)
+        walks[k] = (tuple(up), e_uv, tuple(down))
+    assert rows == walks
 
     opt = engine.net_weights(engine.subsidy_vector(solve_sne_broadcast_lp3(state).subsidies))
     cases = [engine.net_weights(np.zeros(m)), opt]

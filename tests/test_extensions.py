@@ -17,6 +17,7 @@ from repro.games.weighted import (
 )
 from repro.graphs import Graph
 from repro.graphs.generators import random_connected_gnp, random_tree_plus_chords
+from repro.graphs.steiner import steiner_tree
 from repro.subsidies import solve_sne_broadcast_lp3, solve_sne_cutting_plane_lp1
 from repro.subsidies.combinatorial import combinatorial_sne, waterfill_player
 
@@ -60,6 +61,51 @@ class TestMulticast:
         state = game.optimal_state()
         res = solve_sne_cutting_plane_lp1(state)
         assert res.feasible and res.verified
+
+    def test_optimal_design_runs_the_dp_once_per_graph_version(self, monkeypatch):
+        import repro.games.multicast as multicast
+
+        calls = []
+
+        def counting(graph, terminals):
+            calls.append(list(terminals))
+            return steiner_tree(graph, terminals)
+
+        monkeypatch.setattr(multicast, "steiner_tree", counting)
+        g = random_connected_gnp(10, 0.35, seed=4)
+        game = MulticastGame(g, root=0, terminals=[3, 7, 9])
+        edges, weight = game.optimal_design()
+        assert game.default_state().established_edges() == game.optimal_state().established_edges()
+        assert game.social_optimum() == weight
+        assert len(calls) == 1
+        # callers get copies: editing one leaves the cached design intact
+        edges.clear()
+        assert game.optimal_design()[0] and len(calls) == 1
+        # a graph mutation invalidates the cache
+        g.add_edge(3, 9, 1e-3)
+        new_edges, new_weight = game.optimal_design()
+        assert len(calls) == 2 and (3, 9) in new_edges and new_weight < weight
+        game.social_optimum()
+        assert len(calls) == 2
+
+    def test_serve_interned_instance_runs_the_dp_once(self, monkeypatch):
+        import repro.games.multicast as multicast
+        from repro import api
+        from repro.serve import ServeConfig, SolverService
+
+        calls = []
+
+        def counting(graph, terminals):
+            calls.append(list(terminals))
+            return steiner_tree(graph, terminals)
+
+        monkeypatch.setattr(multicast, "steiner_tree", counting)
+        game = MulticastGame(random_connected_gnp(10, 0.35, seed=4), root=0, terminals=[3, 7, 9])
+        instance = api.serialize.game_to_json(game)
+        service = SolverService(ServeConfig(cache=False))
+        for solver in ("sne-lp1", "sne-lp2", "sne-lp1"):
+            service.solve_json({"instance": instance, "solver": solver})
+        assert len(calls) == 1
 
     def test_broadcast_special_case(self):
         g = random_connected_gnp(6, 0.6, seed=8)

@@ -1,5 +1,9 @@
 """Tests for simple-path enumeration and the Steiner tree substrate."""
 
+import hashlib
+import json
+import random
+import re
 import time
 
 import networkx as nx
@@ -10,11 +14,14 @@ from repro import api
 from repro.games.base import to_broadcast
 from repro.graphs import Graph
 from repro.graphs.generators import complete_graph, cycle_graph, grid_graph, random_connected_gnp
+from repro.games.multicast import MulticastGame
+from repro.graphs import steiner as steiner_module
 from repro.graphs.paths import count_simple_paths, enumerate_simple_paths
 from repro.graphs.mst import kruskal_mst
 from repro.graphs.steiner import _dreyfus_wagner, steiner_tree, steiner_tree_brute_force
 from repro.graphs.unionfind import UnionFind
 from repro.scenarios import build_scenario
+from repro.serve import ServeConfig, ServeRequestError, SolverService
 
 
 class TestSimplePaths:
@@ -115,6 +122,88 @@ class TestSteiner:
         g = random_connected_gnp(7, 0.5, seed=3)
         _, w = steiner_tree(g, g.nodes)
         assert w == pytest.approx(g.subset_weight(kruskal_mst(g)))
+
+
+class TestSteinerArrays:
+    """The array DP: exact weights, pinned ties, chunked layers, its checks."""
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_weight_equals_brute_force(self, n, k):
+        for seed in range(3):
+            g = random_connected_gnp(n, 0.4, seed=100 * n + 10 * k + seed)
+            terminals = random.Random(seed).sample(range(n), k)
+            _, w_dw = steiner_tree(g, terminals)
+            _, w_bf = steiner_tree_brute_force(g, terminals)
+            assert w_dw == pytest.approx(w_bf, abs=1e-9)
+
+    def test_eleven_terminals_on_grid_24(self):
+        """Pinned to the scalar DP's tree (SHA-256 of edges and weight bits)."""
+        game = build_scenario("grid", n=24, seed=0, game="multicast", terminals="half")
+        assert len(game.terminals) == 11
+        edges, weight = steiner_tree(game.graph, [game.root, *game.terminals])
+        digest = hashlib.sha256(json.dumps([edges, weight.hex()], default=int).encode())
+        assert digest.hexdigest() == (
+            "f3f8adeb79a662bdb10399d8f570118614d030cfa87adf88830fcc256cd91b77"
+        )
+
+    @pytest.mark.parametrize("name", ["grid", "augmented-cube", "power-law"])
+    def test_chunked_layers_give_the_same_tree(self, name, monkeypatch):
+        games = [build_scenario(name, n=20, seed=s, game="multicast", terminals="half")
+                 for s in range(3)]
+        whole = [steiner_tree(g.graph, [g.root, *g.terminals]) for g in games]
+        monkeypatch.setattr(steiner_module, "_LAYER_ELEMENTS", 1)
+        chunked = [steiner_tree(g.graph, [g.root, *g.terminals]) for g in games]
+        assert chunked == whole
+
+    def test_split_table_matches_the_submask_loop(self):
+        for k in range(2, 8):
+            for masks, subs in steiner_module._split_layers(k):
+                for mask, row in zip(masks.tolist(), subs.tolist()):
+                    expected, seen, sub = [], set(), (mask - 1) & mask
+                    while sub > 0:
+                        other = mask ^ sub
+                        if sub not in seen and other not in seen:
+                            seen.update((sub, other))
+                            expected.append(sub)
+                        sub = (sub - 1) & mask
+                    assert row == expected
+
+    def test_tree_heavier_than_the_dp_optimum_raises(self, monkeypatch):
+        g = random_connected_gnp(9, 0.5, seed=2)
+        monkeypatch.setattr(
+            steiner_module, "_prune_to_terminals", lambda graph, edges, terms: graph.edge_set()
+        )
+        with pytest.raises(RuntimeError, match="exceeds the DP optimum"):
+            steiner_tree(g, [0, 3, 6])
+
+
+class TestSteinerUnreachable:
+    """Terminals in different components: one ValueError naming them."""
+
+    @staticmethod
+    def _two_triangles():
+        return Graph.from_edges(
+            [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.5), (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.5)]
+        )
+
+    @pytest.mark.parametrize(
+        "terminals,missing",
+        [([0, 4], [4]), ([0, 1, 4], [4]), ([0, 1, 4, 5], [4, 5]), ([0, 1, 2, 3, 4, 5], [3, 4, 5])],
+    )
+    def test_value_error_names_the_unreachable_terminals(self, terminals, missing):
+        with pytest.raises(ValueError, match=re.escape(f"terminals {missing!r}")):
+            steiner_tree(self._two_triangles(), terminals)
+
+    def test_api_solve_and_serve_answer_a_client_error(self):
+        game = MulticastGame(self._two_triangles(), root=0, terminals=[1, 4, 5])
+        with pytest.raises(ValueError, match="unreachable"):
+            api.solve(game, "sne-lp1")
+        service = SolverService(ServeConfig(cache=False))
+        request = {"instance": api.serialize.game_to_json(game), "solver": "sne-lp1"}
+        with pytest.raises(ServeRequestError, match="unreachable") as excinfo:
+            service.solve_json(request)
+        assert excinfo.value.status == 400
 
 
 class TestSteinerAllTerminals:
