@@ -1,12 +1,13 @@
-"""Game-family benchmark — engine-backed weighted check vs legacy oracle.
+"""Game-family benchmark — engine-backed checks vs the label reference.
 
 The acceptance bar for the unified game-family layer: on a 200-node
 weighted broadcast-shaped instance the engine-backed
 :func:`check_weighted_equilibrium` must beat the dict-based
-:func:`check_weighted_equilibrium_legacy` by at least 2x, with identical
-verdicts on randomized cross-checks — the same bar PR 2 set for the
-broadcast checker, now extended to the weighted family.  The directed
-binding is exercised alongside (same engine, plus the CSR arc mask).
+:func:`~repro.games.equilibrium.check_equilibrium_legacy` by at least 2x,
+with identical verdicts on randomized weighted and directed cross-checks
+— the same bar the broadcast checker meets in ``bench_equilibrium.py``.
+The directed binding is exercised alongside (same engine, plus the CSR
+arc mask).
 """
 
 import os
@@ -15,13 +16,10 @@ import time
 import pytest
 
 from repro.games.directed import DirectedNetworkDesignGame
-from repro.games.equilibrium import check_equilibrium
-from repro.games.weighted import (
-    WeightedNetworkDesignGame,
-    check_weighted_equilibrium,
-    check_weighted_equilibrium_legacy,
-)
+from repro.games.equilibrium import check_equilibrium, check_equilibrium_legacy
+from repro.games.weighted import WeightedNetworkDesignGame, check_weighted_equilibrium
 from repro.graphs.generators import random_tree_plus_chords
+from repro.scenarios import build_scenario
 
 
 def _weighted_state(n, seed):
@@ -43,7 +41,7 @@ def _engine_full_scan(state):
 
 
 def _legacy_full_scan(state):
-    return check_weighted_equilibrium_legacy(state, find_all=True)
+    return check_equilibrium_legacy(state, find_all=True).is_equilibrium
 
 
 def test_engine_weighted_check(benchmark, weighted_200):
@@ -65,6 +63,13 @@ def test_directed_engine_check(benchmark):
     assert isinstance(report.is_equilibrium, bool)
 
 
+def _directed_state(topology, n, seed):
+    game = build_scenario(
+        topology, n=n, seed=seed, game="directed", orientation="oneway-chords"
+    )
+    return game.default_state()
+
+
 def test_verdicts_identical_on_randomized_instances(weighted_200):
     states = [weighted_200] + [
         _weighted_state(n, seed)
@@ -72,7 +77,23 @@ def test_verdicts_identical_on_randomized_instances(weighted_200):
     ]
     for state in states:
         assert check_weighted_equilibrium(state) == (
-            check_weighted_equilibrium_legacy(state)
+            check_equilibrium_legacy(state).is_equilibrium
+        )
+        assert _engine_full_scan(state) == _legacy_full_scan(state)
+
+
+def test_directed_verdicts_identical_on_randomized_instances():
+    """One-way chords make the instances asymmetric: the reference must
+    honour arc directions exactly as the engine's arc mask does."""
+    states = [
+        _directed_state(topology, n, seed)
+        for topology in ("grid", "power-law", "augmented-cube")
+        for n, seed in [(32, 1), (64, 2)]
+    ]
+    assert any(not state.game.is_symmetric() for state in states)
+    for state in states:
+        assert check_equilibrium(state).is_equilibrium == (
+            check_equilibrium_legacy(state).is_equilibrium
         )
         assert _engine_full_scan(state) == _legacy_full_scan(state)
 

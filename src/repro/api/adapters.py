@@ -238,7 +238,6 @@ def solve_sne_cutting_plane(
     method: str = "highs",
     max_rounds: int = 200,
     verify: bool = True,
-    fast: bool = True,
     certify: bool = False,
 ) -> SolveReport:
     state = as_any_state(instance)
@@ -248,7 +247,6 @@ def solve_sne_cutting_plane(
             method=method,
             max_rounds=max_rounds,
             verify=verify,
-            fast=fast,
             certify=certify,
         )
     return _report_from_sne(res, state, "sne-cutting-plane", t.elapsed, verify)
@@ -274,13 +272,12 @@ def solve_sne_poly(
     instance: AnyInstance,
     method: str = "highs",
     verify: bool = True,
-    fast: bool = True,
     certify: bool = False,
 ) -> SolveReport:
     state = as_any_state(instance)
     with Timer() as t:
         res = solve_sne_polynomial_lp2(
-            state, method=method, verify=verify, fast=fast, certify=certify
+            state, method=method, verify=verify, certify=certify
         )
     return _report_from_sne(res, state, "sne-poly", t.elapsed, verify)
 
@@ -306,7 +303,6 @@ def solve_approx_greedy(
     instance: AnyInstance,
     method: str = "highs",
     verify: bool = True,
-    fast: bool = True,
     bound: str = "auto",
     anytime: bool = False,
     deadline: Optional[float] = None,
@@ -318,7 +314,6 @@ def solve_approx_greedy(
             state,
             method=method,
             verify=verify,
-            fast=fast,
             bound=bound,
             anytime=anytime,
             deadline=deadline,
@@ -345,7 +340,6 @@ def solve_approx_primal_dual(
     method: str = "highs",
     max_rounds: int = 200,
     verify: bool = True,
-    fast: bool = True,
     anytime: bool = False,
     deadline: Optional[float] = None,
     target_gap: Optional[float] = None,
@@ -357,7 +351,6 @@ def solve_approx_primal_dual(
             method=method,
             max_rounds=max_rounds,
             verify=verify,
-            fast=fast,
             anytime=anytime,
             deadline=deadline,
             target_gap=target_gap,

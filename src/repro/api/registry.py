@@ -14,8 +14,9 @@ Lookup is by canonical name or alias, and unknown names raise
 from __future__ import annotations
 
 import difflib
+import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 
 class UnknownSolverError(KeyError):
@@ -57,6 +58,35 @@ class SolverSpec:
     #: algorithm version; part of the result-cache key, so bump it whenever
     #: the solver's output for a fixed instance can change
     version: str = "1"
+    #: keyword options the adapter takes after the instance (``None``: any,
+    #: through ``**opts``); read off its signature once, at registration
+    options: Optional[FrozenSet[str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        params = list(inspect.signature(self.fn).parameters.values())[1:]
+        names: Optional[FrozenSet[str]] = frozenset(
+            p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        )
+        if any(p.kind is p.VAR_KEYWORD for p in params):
+            names = None
+        object.__setattr__(self, "options", names)
+
+    def check_options(self, opts: Mapping[str, Any]) -> None:
+        """Raise ``TypeError`` naming every key of ``opts`` the adapter does
+        not take.
+
+        Callers that key a result cache on the raw options run this before
+        the lookup, so a hit cannot answer for options a miss would refuse.
+        """
+        if self.options is None:
+            return
+        unknown = sorted(str(k) for k in opts if k not in self.options)
+        if unknown:
+            raise TypeError(
+                f"solver {self.name!r} does not take option(s) "
+                f"{', '.join(map(repr, unknown))}; it takes: "
+                f"{', '.join(sorted(self.options)) or 'none'}"
+            )
 
 
 _REGISTRY: Dict[str, SolverSpec] = {}

@@ -53,7 +53,6 @@ from repro.games.weighted import (
     WeightedNetworkDesignGame,
     WeightedState,
     check_weighted_equilibrium,
-    check_weighted_equilibrium_legacy,
     solve_weighted_sne,
 )
 from repro.games.coalitions import (
@@ -104,7 +103,6 @@ __all__ = [
     "WeightedNetworkDesignGame",
     "WeightedState",
     "check_weighted_equilibrium",
-    "check_weighted_equilibrium_legacy",
     "solve_weighted_sne",
     "CoalitionDeviation",
     "StrongEquilibriumReport",

@@ -3,9 +3,10 @@
 The paper's algorithms (the Theorem 1 separation oracle, equilibrium
 verification, best-response dynamics, the SND heuristics) all reduce to the
 same primitive: price every edge for a deviating player at
-``(w_a - b_a) / (n_a + 1 - n_a^i)`` and run a shortest-path query.  The
-legacy implementation rebuilt a pricing closure and a hashable-keyed
-Dijkstra per query; this engine interns the game graph once
+``(w_a - b_a) / (n_a + 1 - n_a^i)`` and run a shortest-path query.
+Instead of a pricing closure and a hashable-keyed Dijkstra per query
+(the dict-based :func:`repro.games.equilibrium.check_equilibrium_legacy`
+reference), this engine interns the game graph once
 (:meth:`BestResponseEngine.for_graph` caches per graph mutation version),
 keeps ``w``, ``b`` and the usage counts ``n_a`` in flat arrays indexed by
 edge id, and prices deviations with two vector operations plus an
@@ -17,8 +18,7 @@ and one reusable Dijkstra workspace, and certificate passes skip whole
 searches whose outcome is already decided — the Lemma 2 incidence check
 for broadcast trees (no searches at all once the constraints hold) and
 shared reverse-search lower bounds for shared-target player groups.
-:meth:`_StateBinding.scan_legacy` keeps the pre-batching per-player
-reference, and :class:`OracleStats` counts searches run, batch skips,
+:class:`OracleStats` counts searches run, batch skips,
 cutting-plane rounds and LP warm starts per engine.
 
 Layers on top:
@@ -344,27 +344,12 @@ class _StateBinding:
         deviation (a Lemma 2 certificate for broadcast trees, a shared
         reverse-search lower bound for shared-target groups) skip their
         per-player search, and the remaining exact queries share one
-        join-priced arc-cost list plus one Dijkstra workspace.  The
-        returned records are identical to :meth:`scan_legacy` — batching
-        only ever removes searches whose outcome is already decided.
+        join-priced arc-cost list plus one Dijkstra workspace.  Batching
+        only ever removes searches whose outcome is already decided, so
+        the records are those of one isolated search per player.
         """
         raise NotImplementedError
 
-    def scan_legacy(
-        self,
-        wb: np.ndarray,
-        tol: float = EQ_TOL,
-        find_all: bool = False,
-        improving_only: bool = True,
-    ) -> List[BestResponse]:
-        """Pre-batching reference scan: one isolated search per player.
-
-        Semantically identical to :meth:`scan`; kept as the cold baseline
-        the parity tests and ``benchmarks/bench_lp_warmstart.py`` compare
-        against (the same role ``check_equilibrium_legacy`` plays one
-        layer up).
-        """
-        raise NotImplementedError
 
 class _TreeBinding(_StateBinding):
     """Broadcast tree state: players are nodes, everyone targets the root."""
@@ -647,47 +632,6 @@ class _TreeBinding(_StateBinding):
                 break
         return out
 
-    def scan_legacy(
-        self,
-        wb: np.ndarray,
-        tol: float = EQ_TOL,
-        find_all: bool = False,
-        improving_only: bool = True,
-    ) -> List[BestResponse]:
-        engine = self.engine
-        ig = engine.ig
-        root = self.root_id
-        wb_l = wb.tolist()
-        usage_l = self.usage.tolist()
-        cost_at = self._costs_to_root(wb)
-        base = wb / self._denom_join
-        parent_nid = self.parent_nid
-        parent_eid = self.parent_eid
-
-        out: List[BestResponse] = []
-        for pos, (key, uid) in enumerate(zip(self.player_keys, self.player_ids)):
-            cur = cost_at[uid]
-            if improving_only and cur <= tol:
-                continue
-            costs = base.copy()
-            x = uid
-            while x != root:
-                e = parent_eid[x]
-                costs[e] = wb_l[e] / usage_l[e]
-                x = parent_nid[x]
-            bound = cur if improving_only else float("inf")
-            dist, pred, pred_edge = dijkstra_indexed(
-                ig, uid, costs, target=root, bound=bound
-            )
-            engine.stats.dijkstra_calls += 1
-            dcost = dist[root]
-            if improving_only and not is_improvement(dcost, cur, tol):
-                continue
-            node_ids, edge_ids = _walk_path_back(pred, pred_edge, uid, root)
-            out.append(BestResponse(key, pos, cur, dcost, node_ids, edge_ids))
-            if improving_only and not find_all:
-                break
-        return out
 
 
 class _GeneralBinding(_StateBinding):
@@ -798,45 +742,6 @@ class _GeneralBinding(_StateBinding):
                 break
         return out
 
-    def scan_legacy(
-        self,
-        wb: np.ndarray,
-        tol: float = EQ_TOL,
-        find_all: bool = False,
-        improving_only: bool = True,
-    ) -> List[BestResponse]:
-        engine = self.engine
-        ig = engine.ig
-        wb_l = wb.tolist()
-        usage_l = self.usage.tolist()
-        base = wb / self._denom_join
-
-        out: List[BestResponse] = []
-        for pos in self.player_keys:
-            own = self.paths[pos]
-            cur = 0.0
-            for e in own:
-                cur += wb_l[e] / usage_l[e]
-            if improving_only and cur <= tol:
-                continue
-            costs = base.copy()
-            for e in own:
-                costs[e] = wb_l[e] / usage_l[e]
-            s, t = self.sources[pos], self.targets[pos]
-            bound = cur if improving_only else float("inf")
-            dist, pred, pred_edge = dijkstra_indexed(ig, s, costs, target=t, bound=bound)
-            engine.stats.dijkstra_calls += 1
-            dcost = dist[t]
-            if improving_only:
-                if not is_improvement(dcost, cur, tol):
-                    continue
-            elif dcost == float("inf"):
-                raise ValueError(f"player {pos} cannot reach her target")
-            node_ids, edge_ids = _walk_path_back(pred, pred_edge, s, t)
-            out.append(BestResponse(pos, pos, cur, dcost, node_ids, edge_ids))
-            if improving_only and not find_all:
-                break
-        return out
 
 
 class _RuleBinding(_StateBinding):
@@ -1031,78 +936,6 @@ class _RuleBinding(_StateBinding):
                 break
         return out
 
-    def scan_legacy(
-        self,
-        wb: np.ndarray,
-        tol: float = EQ_TOL,
-        find_all: bool = False,
-        improving_only: bool = True,
-    ) -> List[BestResponse]:
-        engine = self.engine
-        ig = engine.ig
-        load = self.load
-        wb_l = wb.tolist()
-        load_l = load.tolist()
-        adj_edge = ig.adj_edge
-        mask = self.arc_open
-        mask_l = self._arc_open_list
-        slots_of_edge = self._slots_of_edge
-        arc_base_cache: dict = {}
-
-        out: List[BestResponse] = []
-        for pos in self.player_keys:
-            a = self.alphas[pos]
-            a_s = self._scalar_alphas[pos]
-            own = self.paths[pos]
-            cur = 0.0
-            if a_s is not None:
-                for e in own:
-                    cur += a_s * wb_l[e] / load_l[e]
-            else:
-                for e in own:
-                    cur += a[e] * wb_l[e] / load_l[e]
-            if improving_only and cur <= tol:
-                continue
-            s, t = self.sources[pos], self.targets[pos]
-            bound = cur if improving_only else float("inf")
-            if a_s is not None:
-                arc_costs = arc_base_cache.get(a_s)
-                if arc_costs is None:
-                    expanded = ((a_s * wb) / (load + a_s))[adj_edge]
-                    if mask is not None:
-                        expanded = np.where(mask, expanded, np.inf)
-                    arc_costs = arc_base_cache[a_s] = expanded.tolist()
-                patches = []
-                for e in own:
-                    val = a_s * wb_l[e] / load_l[e]
-                    for k in slots_of_edge[e]:
-                        if mask_l is None or mask_l[k]:
-                            patches.append((k, arc_costs[k]))
-                            arc_costs[k] = val
-                dist, pred, pred_edge = dijkstra_indexed(
-                    ig, s, target=t, bound=bound, arc_costs=arc_costs
-                )
-                for k, v in patches:
-                    arc_costs[k] = v
-            else:
-                costs = (a * wb) / (load + a)
-                for e in own:
-                    costs[e] = a[e] * wb_l[e] / load_l[e]
-                dist, pred, pred_edge = dijkstra_indexed(
-                    ig, s, costs, target=t, bound=bound, arc_open=mask
-                )
-            engine.stats.dijkstra_calls += 1
-            dcost = dist[t]
-            if improving_only:
-                if not is_improvement(dcost, cur, tol):
-                    continue
-            elif dcost == float("inf"):
-                raise ValueError(f"player {pos} cannot reach her target")
-            node_ids, edge_ids = _walk_path_back(pred, pred_edge, s, t)
-            out.append(BestResponse(pos, pos, cur, dcost, node_ids, edge_ids))
-            if improving_only and not find_all:
-                break
-        return out
 
 
 class EngineProfile:

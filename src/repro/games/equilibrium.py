@@ -10,14 +10,15 @@ beats her current cost (weak inequality, handled by the shared tolerance).
 :func:`check_equilibrium` runs on the vectorized
 :class:`~repro.games.engine.BestResponseEngine` (per-edge weight/subsidy
 arrays over the indexed graph core).  The per-player closures
-:func:`best_response` / :func:`best_deviation_from_tree` are the original
-dict-based oracles, kept as the slow reference implementation — the engine
-tests and benchmarks cross-check against them via
-:func:`check_equilibrium_legacy`.
+:func:`best_response` / :func:`best_deviation_from_tree` are the dict-based
+label oracles, kept as the one independent reference: the engine tests
+and benchmarks cross-check against them via
+:func:`check_equilibrium_legacy`, on every game family.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
@@ -71,21 +72,37 @@ def best_response(
     player_index: int,
     subsidies: Optional[Subsidies] = None,
 ) -> Deviation:
-    """Best response of one player in a general game state.
+    """Best response of one player in a path state of any family.
+
+    Edge ``a`` costs the player ``alpha (w_a - b_a) / (L_a + alpha - alpha
+    [a on her path])``, with ``alpha = game.cost_sharing.weight_on(i, a)``
+    her load contribution and ``L_a`` the edge's load (``state.load`` for
+    weighted states, the usage count ``n_a`` otherwise).  Fair sharing has
+    ``alpha = 1``, which gives the paper's ``(w_a - b_a) / (n_a + 1 -
+    n_a^i)``.  Directions that ``game.allows`` closes cost ``inf``, so the
+    search never takes them.
 
     Returns a :class:`Deviation` record regardless of whether it improves;
     callers compare ``deviation_cost`` against ``current_cost``.
     """
     game = state.game
     player = game.players[player_index]
-    own_edges = state.edge_sets[player_index]
+    own_edges = set(state.edge_paths[player_index])
+    alpha_on = game.cost_sharing.weight_on
+    load = getattr(state, "load", None)
+    if load is None:
+        load = state.usage
+    allows = getattr(game, "allows", None)
 
     def weight_fn(u: Node, v: Node) -> float:
+        if allows is not None and not allows(u, v):
+            return math.inf
         e = canonical_edge(u, v)
         w = game.graph.weight(u, v)
         b = subsidies.get(e, 0.0) if subsidies else 0.0
-        denom = state.usage.get(e, 0) + 1 - (1 if e in own_edges else 0)
-        return max(0.0, w - b) / denom
+        a = alpha_on(player_index, e)
+        denom = load.get(e, 0) + a - (a if e in own_edges else 0.0)
+        return a * max(0.0, w - b) / denom
 
     dist, parent = dijkstra(game.graph, player.source, weight_fn=weight_fn, target=player.target)
     if player.target not in dist:
@@ -183,10 +200,11 @@ def check_equilibrium_legacy(
 ) -> EquilibriumReport:
     """Reference equilibrium check via the per-player dict-based oracles.
 
-    Semantically identical to :func:`check_equilibrium`; kept as the
+    Semantically identical to :func:`check_equilibrium` on every game
+    family (broadcast, multicast, general, weighted, directed); kept as the
     cross-validation baseline for the engine (tests assert verdict equality
-    on randomized instances, ``benchmarks/bench_equilibrium.py`` measures
-    the speedup).
+    on randomized instances, ``benchmarks/bench_equilibrium.py`` and
+    ``benchmarks/bench_families.py`` measure the speedup).
     """
     deviations: List[Deviation] = []
 

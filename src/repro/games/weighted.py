@@ -12,10 +12,10 @@ Everything engine-shaped runs on the shared
 :class:`~repro.games.engine.BestResponseEngine` (the ``_RuleBinding``
 prices deviations with per-player contribution vectors): equilibrium
 checking, the LP (1) separation oracle behind :func:`solve_weighted_sne`,
-and the re-verification of its output.  The dict-based
-:func:`weighted_best_response` closure is kept only as the reference
-implementation behind :func:`check_weighted_equilibrium_legacy` — the
-engine tests and ``benchmarks/bench_families.py`` cross-check against it.
+and the re-verification of its output.  The dict-based reference is
+:func:`repro.games.equilibrium.check_equilibrium_legacy`, whose label
+oracle prices every family's deviations through the same cost-sharing
+rule.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.games.base import CostSharingRule, ProportionalSharing
 from repro.games.game import Subsidies, _path_nodes_to_edges, shortest_node_paths
-from repro.graphs.graph import Edge, Graph, Node, canonical_edge
-from repro.graphs.shortest_paths import dijkstra
+from repro.graphs.graph import Edge, Graph, Node
 from repro.subsidies.assignment import SubsidyAssignment
-from repro.utils.tolerances import EQ_TOL, is_improvement
+from repro.utils.tolerances import EQ_TOL
 
 
 @dataclass(frozen=True)
@@ -151,37 +150,6 @@ class WeightedNetworkDesignGame:
         return self.shortest_path_state()
 
 
-def weighted_best_response(
-    state: WeightedState, i: int, subsidies: Optional[Subsidies] = None
-) -> Tuple[float, List[Node]]:
-    """Reference best response of player i: cost and node path.
-
-    Edge ``a`` costs her ``alpha_i(a) (w_a - b_a) / (L_a + alpha_i(a) -
-    alpha_i(a) * uses_i(a))``.  This is the dict-based slow path kept for
-    cross-validation (:func:`check_weighted_equilibrium_legacy`); the
-    engine's rule binding is the production implementation.
-    """
-    game = state.game
-    player = game.players[i]
-    rule = game.cost_sharing
-    own = set(state.edge_paths[i])
-
-    def weight_fn(u: Node, v: Node) -> float:
-        e = canonical_edge(u, v)
-        w = game.graph.weight(u, v)
-        b = subsidies.get(e, 0.0) if subsidies else 0.0
-        a = rule.weight_on(i, e)
-        denom = state.load.get(e, 0.0) + a - (a if e in own else 0.0)
-        return a * max(0.0, w - b) / denom
-
-    dist, parent = dijkstra(game.graph, player.source, weight_fn=weight_fn, target=player.target)
-    nodes = [player.target]
-    while nodes[-1] != player.source:
-        nodes.append(parent[nodes[-1]])
-    nodes.reverse()
-    return dist[player.target], nodes
-
-
 def check_weighted_equilibrium(
     state: WeightedState, subsidies: Optional[Subsidies] = None, tol: float = EQ_TOL
 ) -> bool:
@@ -194,33 +162,6 @@ def check_weighted_equilibrium(
     from repro.games.equilibrium import check_equilibrium
 
     return check_equilibrium(state, subsidies, tol=tol).is_equilibrium
-
-
-def check_weighted_equilibrium_legacy(
-    state: WeightedState,
-    subsidies: Optional[Subsidies] = None,
-    tol: float = EQ_TOL,
-    find_all: bool = False,
-) -> bool:
-    """Reference Nash check via the per-player dict-based oracle.
-
-    Semantically identical to :func:`check_weighted_equilibrium`; kept as
-    the cross-validation baseline (``benchmarks/bench_families.py``
-    measures the engine's speedup against it).  ``find_all`` keeps
-    scanning past the first improving deviation — the full-scan mode the
-    benchmark times, mirroring ``check_equilibrium(..., find_all=True)``.
-    """
-    stable = True
-    for i in range(state.game.n_players):
-        current = state.player_cost(i, subsidies)
-        if current <= tol:
-            continue
-        best, _ = weighted_best_response(state, i, subsidies)
-        if is_improvement(best, current, tol):
-            stable = False
-            if not find_all:
-                return False
-    return stable
 
 
 def solve_weighted_sne(

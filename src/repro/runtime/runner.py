@@ -91,9 +91,10 @@ def sweep_job_keys(jobs: Sequence[SweepJob]) -> Dict[int, Optional[str]]:
     """The content-address of every sweep cell by job index (``None`` when
     uncacheable).
 
-    Validates every solver name against the registry as a side effect
-    (raising :class:`~repro.api.registry.UnknownSolverError` up front,
-    before any work is scheduled).  The jobs of one grid cell share their
+    Validates every solver name and option set against the registry as a
+    side effect (raising :class:`~repro.api.registry.UnknownSolverError`
+    or ``TypeError`` up front, before any work is scheduled or any cache
+    entry is read).  The jobs of one grid cell share their
     instance payload, so each payload is encoded once
     (:func:`~repro.runtime.cache.instance_key_state`) for all its solvers.
     """
@@ -103,6 +104,7 @@ def sweep_job_keys(jobs: Sequence[SweepJob]) -> Dict[int, Optional[str]]:
     keys: Dict[int, Optional[str]] = {}
     for job in jobs:
         spec = get_solver(job.solver)
+        spec.check_options(job.opts)
         try:
             state = states.get(id(job.instance))
             if state is None:
@@ -469,7 +471,8 @@ class SweepRunner:
             if self.progress is not None:
                 self.progress(outcome, done, total)
 
-        # 1. cache pass (the keys validated every solver name up front)
+        # 1. cache pass (the keys validated every solver name and option set
+        # up front)
         for job in sweep_jobs:
             key = keys[job.index]
             entry = cached_entry(self.cache, key)

@@ -278,6 +278,10 @@ class SolverService:
         except api.UnknownSolverError as exc:
             raise ServeRequestError(400, str(exc)) from None
         try:
+            spec.check_options(opts)
+        except TypeError as exc:
+            raise ServeRequestError(400, f"TypeError: {exc}") from None
+        try:
             key: Optional[str] = solve_job_key(instance, spec.name, spec.version, opts)
         except UnhashablePayloadError as exc:
             raise ServeRequestError(400, f"options are not cacheable JSON: {exc}") from None

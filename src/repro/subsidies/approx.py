@@ -380,7 +380,6 @@ def solve_sne_greedy(
     state: AnyState,
     method: str = "highs",
     verify: bool = True,
-    fast: bool = True,
     bound: str = "auto",
     anytime: bool = False,
     deadline: Optional[float] = None,
@@ -389,9 +388,7 @@ def solve_sne_greedy(
     """Greedy full-path subsidies with a certified gap, any game family.
 
     Per round, every violated player (from the engine binding's exact
-    scan — ``fast=False`` uses the pre-batching ``scan_legacy`` reference
-    and must produce identical subsidies) gets its own path fully
-    subsidized.  The violated LP(1) rows seen along the way are pooled
+    scan) gets its own path fully subsidized.  The violated LP(1) rows seen along the way are pooled
     and turned into a certified lower bound (``bound``: ``"lp"`` solves
     the pooled relaxation exactly, ``"lagrangian"`` uses the closed-form
     dual value, ``"auto"`` picks by instance size).
@@ -402,7 +399,7 @@ def solve_sne_greedy(
     certified relative gap of the *fallback* bracket reaches the target.
     ``anytime`` records the ``(round, ub, lb)`` trajectory.
     """
-    sep = LP1Separation(state, fast)
+    sep = LP1Separation(state)
     backend = get_backend(method).name
     weights = sep.weights
     full_target = _full_target(state, sep)
@@ -446,7 +443,6 @@ def solve_sne_primal_dual(
     method: str = "highs",
     max_rounds: int = 200,
     verify: bool = True,
-    fast: bool = True,
     anytime: bool = False,
     deadline: Optional[float] = None,
     target_gap: Optional[float] = None,
@@ -467,7 +463,7 @@ def solve_sne_primal_dual(
     always-feasible full-target assignment.  ``deadline`` /
     ``target_gap`` stop early with the best feasible vector found.
     """
-    sep = LP1Separation(state, fast)
+    sep = LP1Separation(state)
     backend = get_backend(method).name
     weights = sep.weights
     lp = sep.relaxation()

@@ -29,8 +29,6 @@ below while the converged float solution brackets it from above.
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Tuple, Union
@@ -38,15 +36,13 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.graphs.core import IndexedGraph
-from repro.graphs.graph import Edge, Graph, Node, canonical_edge
+from repro.graphs.graph import Edge, Graph, canonical_edge
 from repro.lp import (
     ExactCertificate,
     IncrementalLP,
-    LinearProgram,
     LPStatus,
     certify_result,
     get_backend,
-    solve_lp,
     solve_with_cutting_planes,
 )
 from repro.games.broadcast import TreeState
@@ -103,12 +99,12 @@ def _infeasible(
 
 
 def _certify_lp(
-    lp: Union[LinearProgram, IncrementalLP],
+    lp: IncrementalLP,
     formulation: str,
     float_objective: Optional[float],
 ) -> ExactCertificate:
-    """Exact-solve (the dense twin of) ``lp`` and self-verify the proof."""
-    dense = lp.to_linear_program() if isinstance(lp, IncrementalLP) else lp
+    """Exact-solve the dense twin of ``lp`` and self-verify the proof."""
+    dense = lp.to_linear_program()
     subject: Dict[str, object] = {"formulation": formulation}
     if float_objective is not None:
         subject["float_objective"] = float(float_objective)
@@ -119,18 +115,13 @@ def _verify_with_binding(
     engine: BestResponseEngine,
     binding: _StateBinding,
     subsidies: SubsidyAssignment,
-    fast: bool,
 ) -> bool:
-    """Exact equilibrium re-check through the solver's own binding.
-
-    Equivalent to :func:`check_equilibrium` (same scan, same tolerance);
-    routed through the binding so the cold reference path (``fast=False``)
-    can verify via :meth:`~repro.games.engine._StateBinding.scan_legacy`
-    and stay entirely on pre-batching code.
+    """Equilibrium re-check through the solver's own binding, in float at
+    ``LP_TOL``: the scan :func:`check_equilibrium` runs, on a binding the
+    solver has already built.
     """
     wb = engine.net_weights(engine.subsidy_vector(subsidies))
-    scan = binding.scan if fast else binding.scan_legacy
-    return not scan(wb, tol=LP_TOL)
+    return not binding.scan(wb, tol=LP_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -279,23 +270,19 @@ class LP1Separation:
     scan and supplies the cut-row share coefficients
     (:meth:`~repro.games.engine._StateBinding.current_share_coeff` /
     ``joining_share_coeff``), so nothing here needs to know which sharing
-    rule is in force.  ``fast=False`` scans through the pre-batching
-    :meth:`~repro.games.engine._StateBinding.scan_legacy` reference and
-    builds dense relaxations; both paths admit the same rows.
+    rule is in force.
 
     :meth:`rows` is LP (1)'s one row builder: the exact solver's cuts, the
     greedy's pooled rows and the primal-dual's cuts all come from it.
     """
 
-    def __init__(self, state: AnyState, fast: bool) -> None:
+    def __init__(self, state: AnyState) -> None:
         self.graph = state.game.graph
         self.engine = BestResponseEngine.for_graph(self.graph)
         self.binding = self.engine.bind(state)
         self.stats = self.engine.stats
         self._before = self.stats.snapshot()
-        self.fast = fast
         self.weights = self.engine.ig.edge_weights
-        self._scan = self.binding.scan if fast else self.binding.scan_legacy
 
     def rows(self, b: np.ndarray) -> List[Tuple[object, np.ndarray, float]]:
         """Every player violated at subsidies ``b``, with its LP (1) row.
@@ -313,7 +300,7 @@ class LP1Separation:
         weights = self.weights
         binding = self.binding
         out = []
-        for rec in self._scan(np.maximum(0.0, weights - b), tol=LP_TOL, find_all=True):
+        for rec in binding.scan(np.maximum(0.0, weights - b), tol=LP_TOL, find_all=True):
             row = np.zeros(len(weights))
             rhs = 0.0
             for e in binding.current_path_eids(rec.position):
@@ -331,17 +318,14 @@ class LP1Separation:
         """The cutting-plane oracle: the rows violated at the LP iterate ``x``."""
         return [(row, rhs) for _rec, row, rhs in self.rows(np.where(x > 1e-12, x, 0.0))]
 
-    def relaxation(self) -> Union[IncrementalLP, LinearProgram]:
+    def relaxation(self) -> IncrementalLP:
         """LP (1) without rows: ``min sum b`` over ``0 <= b <= w``."""
         n = len(self.weights)
-        if self.fast:
-            return IncrementalLP(n, c=np.ones(n), upper=self.weights.copy())
-        return LinearProgram(n_vars=n, c=np.ones(n), upper=self.weights.copy())
+        return IncrementalLP(n, c=np.ones(n), upper=self.weights.copy())
 
-    def count_rounds(self, lp: Union[IncrementalLP, LinearProgram], rounds: int) -> None:
+    def count_rounds(self, lp: IncrementalLP, rounds: int) -> None:
         self.stats.cut_rounds += rounds
-        if isinstance(lp, IncrementalLP):
-            self.stats.warm_start_hits += lp.stats.warm_start_hits
+        self.stats.warm_start_hits += lp.stats.warm_start_hits
 
     def assignment(self, b: np.ndarray) -> SubsidyAssignment:
         return SubsidyAssignment.from_vector(self.graph, list(self.engine.ig.edge_labels), b)
@@ -349,7 +333,7 @@ class LP1Separation:
     def verified(self, subsidies: SubsidyAssignment, verify: bool) -> bool:
         if not verify:
             return True
-        return _verify_with_binding(self.engine, self.binding, subsidies, self.fast)
+        return _verify_with_binding(self.engine, self.binding, subsidies)
 
     def profile(self) -> Dict[str, int]:
         """The engine's work counters since this oracle was bound."""
@@ -361,7 +345,6 @@ def solve_sne_cutting_plane_lp1(
     method: str = "highs",
     max_rounds: int = 200,
     verify: bool = True,
-    fast: bool = True,
     certify: bool = False,
 ) -> SNEResult:
     """Minimum subsidies via the exponential LP (1) + separation oracle.
@@ -373,17 +356,13 @@ def solve_sne_cutting_plane_lp1(
     (as in the paper's presentation); optimal solutions put nothing on
     non-target edges, which the tests assert.
 
-    ``fast`` (the default) runs the optimized subsystem: cut rows append
-    into a sparse :class:`~repro.lp.incremental.IncrementalLP` and every
-    re-solve warm-starts from the previous round, while the separation
-    oracle batches its per-player searches (Lemma 2 certificates for
-    broadcast, shared-target group searches otherwise).  ``fast=False``
-    keeps the cold-rebuild reference path — dense LP rebuilt per round,
-    one isolated search per player — which admits exactly the same cuts
-    and returns identical results; ``benchmarks/bench_lp_warmstart.py``
-    gates the speedup and the equality.
+    Cut rows append into a sparse
+    :class:`~repro.lp.incremental.IncrementalLP` and every re-solve
+    warm-starts from the previous round, while the separation oracle
+    batches its per-player searches (Lemma 2 certificates for broadcast,
+    shared-target group searches otherwise).
     """
-    sep = LP1Separation(state, fast)
+    sep = LP1Separation(state)
     lp = sep.relaxation()
     backend = get_backend(method).name
     out = solve_with_cutting_planes(lp, sep.cuts, method=method, max_rounds=max_rounds)
@@ -453,38 +432,7 @@ def _deviator_distances(
     return dist.reshape(n_players, n_nodes)
 
 
-def _heap_distances(
-    n_nodes: int, source: int, arcs: List[Tuple[int, int, int, float, float]]
-) -> List[float]:
-    """One player's distances from ``source`` over ``(edge column, tail,
-    head, coefficient, cost)`` arcs, ``inf`` where it cannot reach.
-
-    A plain heap Dijkstra: the reference build's own account of what
-    :func:`_deviator_distances` computes for all players at once.
-    """
-    out: List[List[Tuple[int, float]]] = [[] for _ in range(n_nodes)]
-    for _col, tail, head, _coef, cost in arcs:
-        out[tail].append((head, cost))
-    dist = [math.inf] * n_nodes
-    dist[source] = 0.0
-    done = [False] * n_nodes
-    heap = [(0.0, source)]
-    while heap:
-        d_u, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, cost in out[u]:
-            d_v = d_u + cost
-            if d_v < dist[v]:
-                dist[v] = d_v
-                heapq.heappush(heap, (d_v, v))
-    return dist
-
-
-def build_polynomial_lp2(
-    state: AnyState, fast: bool = True
-) -> Tuple[Union[IncrementalLP, LinearProgram], List[Edge]]:
+def build_polynomial_lp2(state: AnyState) -> Tuple[IncrementalLP, List[Edge]]:
     """Materialize LP (2) for a target state, in shifted potentials.
 
     Variables: ``b_a`` for every edge (in the returned edge order) plus one
@@ -503,15 +451,11 @@ def build_polynomial_lp2(
     d(head) >= 0``, exactly 0 along each player's shortest-path tree, and
     only the path rows of players who can improve start infeasible.
 
-    With ``fast`` (the default) the arc rows of all players are computed
-    as one (players x arcs) numpy block, with the same float operations
-    in the same order as a row-by-row build, and the whole LP is appended
-    to a sparse :class:`~repro.lp.incremental.IncrementalLP` as one CSR
-    block; its buffers are byte-identical to appending the rows one at a
-    time.  ``fast=False`` keeps the dense row-by-row reference build, with
-    its own per-player heap Dijkstra (:func:`_heap_distances`) and its own
-    shifted right-hand sides, so comparing the two builds checks the
-    distances and the shift as well as the assembly.
+    The arc rows of all players are computed as one (players x arcs)
+    numpy block, with the same float operations in the same order as a
+    row-by-row build, and the whole LP is appended to a sparse
+    :class:`~repro.lp.incremental.IncrementalLP` as one CSR block; its
+    buffers are byte-identical to appending the rows one at a time.
     """
     game = state.game
     graph = game.graph
@@ -522,10 +466,6 @@ def build_polynomial_lp2(
             for u in game.player_nodes()
         ]
         usage: Dict[Edge, float] = dict(state.loads)
-
-        def alpha(i: int, e: Edge) -> float:
-            return 1.0
-
     else:
         players = [
             (p.source, p.target, list(state.edge_paths[p.index]))
@@ -550,62 +490,6 @@ def build_polynomial_lp2(
     lower = np.zeros(n_vars)
     upper = np.full(n_vars, np.inf)
     upper[:m] = [w for _u, _v, w in graph_edges]
-
-    def path_row(
-        i: int, t_i: Node, path: List[Edge]
-    ) -> Tuple[List[Tuple[int, float]], float]:
-        # pi_i(t_i) >= cost_i(T; b), without the pi_i(t_i) entry:
-        #   -pi(t_i) - sum alpha b_a/L_a <= -sum alpha w_a/L_a
-        entries = []
-        rhs = 0.0
-        for e in path:
-            a_i = alpha(i, e)
-            n_a = usage[e]
-            entries.append((e_index[e], -a_i / n_a))
-            rhs -= a_i * graph.weight(*e) / n_a
-        return entries, rhs
-
-    if not fast:
-        # The reference build, row by row: each player's arcs priced one
-        # at a time, its own distances from a plain heap Dijkstra over
-        # those prices, and each row's shifted right-hand side on its own.
-        player_rows: List[Tuple[List[Tuple[int, int, int, float, float]], List[float]]] = []
-        for i, (s_i, _t_i, path) in enumerate(players):
-            own = set(path)
-            arcs_i = []  # (edge column, tail, head, coefficient, cost)
-            for u, v, w in graph_edges:
-                e = canonical_edge(u, v)
-                a_i = alpha(i, e)
-                d = usage.get(e, 0) + a_i - (a_i if e in own else 0)
-                for tail, head in ((u, v), (v, u)):
-                    if allows is not None and not allows(tail, head):
-                        continue
-                    arcs_i.append(
-                        (e_index[e], v_index[tail], v_index[head], a_i / d, a_i * w / d)
-                    )
-            dist_i = _heap_distances(n_nodes, v_index[s_i], arcs_i)
-            upper[m + i * n_nodes : m + (i + 1) * n_nodes] = dist_i
-            player_rows.append((arcs_i, dist_i))
-
-        lp = LinearProgram(n_vars=n_vars, c=c, lower=lower, upper=upper)
-        for i, (_s_i, t_i, path) in enumerate(players):
-            arcs_i, dist_i = player_rows[i]
-            base = m + i * n_nodes
-            # pi(v) = shift[v] + sign[v] * x(v): x = d - pi where the
-            # player reaches v, x = pi where it does not
-            shift = [d_v if d_v < math.inf else 0.0 for d_v in dist_i]
-            sign = [-1.0 if d_v < math.inf else 1.0 for d_v in dist_i]
-            for col, tail, head, coef, cost in arcs_i:
-                # pi(head) - pi(tail) + coef b_e <= cost
-                lp.add_sparse_constraint(
-                    [(base + head, sign[head]), (base + tail, -sign[tail]), (col, coef)],
-                    cost + shift[tail] - shift[head],
-                )
-            entries, rhs = path_row(i, t_i, path)
-            t = v_index[t_i]
-            entries.append((base + t, -sign[t]))
-            lp.add_sparse_constraint(entries, rhs + shift[t])
-        return lp, all_edges
 
     # The arc table, built once: edge column, tail/head node offsets and
     # weight of every allowed arc, in the row-by-row build's order.
@@ -685,8 +569,8 @@ def build_polynomial_lp2(
 
     # Path rows: the path's -alpha/L_a in ascending column order (zero
     # alphas dropped), then the target's potential.  The right-hand side
-    # subtracts alpha w_a/L_a along the path from 0.0, as path_row does: a
-    # sequential cumsum over rows padded with zeros.
+    # subtracts alpha w_a/L_a along the path from 0.0, term by term in
+    # path order: a sequential cumsum over rows padded with zeros.
     a_path = alpha_e[path_p, path_e]
     share = a_path / usage_e[path_e]
     step = np.arange(len(path_e)) - np.repeat(np.cumsum(path_len) - path_len, path_len)
@@ -726,7 +610,6 @@ def solve_sne_polynomial_lp2(
     state: AnyState,
     method: str = "highs",
     verify: bool = True,
-    fast: bool = True,
     certify: bool = False,
 ) -> SNEResult:
     """Minimum subsidies via the polynomial LP (2).
@@ -743,24 +626,19 @@ def solve_sne_polynomial_lp2(
     directed games only get edge relaxations along their allowed arcs.
 
     LP (2) rows are 3-sparse in ``n_players * n_nodes + n_edges``
-    variables, so the dense materialization is quadratically wasteful;
-    with ``fast`` (the default) :func:`build_polynomial_lp2` assembles
-    them as one sparse block instead.  ``fast=False`` keeps the dense
-    reference build (identical rows, identical solution).
+    variables, so :func:`build_polynomial_lp2` assembles them as one
+    sparse block.
     """
     graph = state.game.graph
-    lp, all_edges = build_polynomial_lp2(state, fast=fast)
+    lp, all_edges = build_polynomial_lp2(state)
     m = len(all_edges)
     engine = BestResponseEngine.for_graph(graph)
     stats = engine.stats
     before = stats.snapshot()
 
     backend = get_backend(method).name
-    if isinstance(lp, IncrementalLP):
-        res = lp.solve(method=method)
-        stats.warm_start_hits += lp.stats.warm_start_hits
-    else:
-        res = solve_lp(lp, method=method)
+    res = lp.solve(method=method)
+    stats.warm_start_hits += lp.stats.warm_start_hits
     if res.status is not LPStatus.OPTIMAL:
         cert = _certify_lp(lp, "lp2", None) if certify else None
         return _infeasible(graph, "lp2", backend=backend, certificate=cert)
@@ -768,9 +646,7 @@ def solve_sne_polynomial_lp2(
     subsidies = SubsidyAssignment.from_vector(graph, all_edges, res.x[:m])
     # The engine binding is only needed (and only built) for verification.
     verified = (
-        _verify_with_binding(engine, engine.bind(state), subsidies, fast)
-        if verify
-        else True
+        _verify_with_binding(engine, engine.bind(state), subsidies) if verify else True
     )
     return SNEResult(
         subsidies,
@@ -794,7 +670,6 @@ def solve_sne(
     formulation: str = "auto",
     method: str = "highs",
     verify: bool = True,
-    fast: bool = True,
 ) -> SNEResult:
     """Solve the optimization version of SNE for a target state.
 
@@ -814,7 +689,7 @@ def solve_sne(
             raise ValueError("LP (3) applies to broadcast tree states only")
         return solve_sne_broadcast_lp3(state, method=method, verify=verify)
     if formulation == "lp2":
-        return solve_sne_polynomial_lp2(state, method=method, verify=verify, fast=fast)
+        return solve_sne_polynomial_lp2(state, method=method, verify=verify)
     if formulation == "lp1":
-        return solve_sne_cutting_plane_lp1(state, method=method, verify=verify, fast=fast)
+        return solve_sne_cutting_plane_lp1(state, method=method, verify=verify)
     raise ValueError(f"unknown formulation {formulation!r}")

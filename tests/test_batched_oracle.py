@@ -1,14 +1,25 @@
-"""Batched separation oracle parity: `scan` must equal `scan_legacy` exactly.
+"""Batched separation oracle: pinned scan records and the label reference.
 
 The batched scan skips searches only when their outcome is provably
 decided — a Lemma 2 incidence certificate for broadcast trees, a shared
 reverse-search lower bound for shared-target groups — so every record it
 returns (players, costs, deviation paths, ordering, early-exit behavior)
-must be identical to the pre-batching per-player reference.  These tests
-sweep random instances of every game family under random subsidy vectors
-and at the LP optimum (where certificate constraints sit exactly on their
-boundaries).
+must stay fixed.  The SHA-256 digests below pin those records (float costs
+as ``float.hex``) on random instances of every game family under random
+subsidy vectors and at the LP optimum (where certificate constraints sit
+exactly on their boundaries); they were computed when the records still
+equalled a second, per-player reference scan record for record.  The
+dict-based :func:`~repro.games.equilibrium.check_equilibrium_legacy`
+cross-checks the same draws, and asymmetric directed and weighted
+scenario states up to their LP (1) optimum.
+
+To print the digests after a deliberate change, run this file as a
+script::
+
+    PYTHONPATH=src python tests/test_batched_oracle.py
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,13 +28,25 @@ from repro.games.broadcast import BroadcastGame
 from repro.games.directed import DirectedNetworkDesignGame
 from repro.games import engine as engine_module
 from repro.games.engine import BestResponseEngine, EngineProfile, OracleStats
+from repro.games.equilibrium import (
+    best_response,
+    check_equilibrium,
+    check_equilibrium_legacy,
+)
 from repro.games.game import NetworkDesignGame
 from repro.games.multicast import MulticastGame
 from repro.games.weighted import WeightedNetworkDesignGame
 from repro.graphs.core import DijkstraWorkspace, dijkstra_indexed
+from repro.graphs import Graph
 from repro.graphs.generators import random_tree_plus_chords
-from repro.subsidies.sne_lp import solve_sne_broadcast_lp3
+from repro.scenarios import build_scenario
+from repro.subsidies.sne_lp import solve_sne_broadcast_lp3, solve_sne_cutting_plane_lp1
 from repro.utils.tolerances import LP_TOL
+
+#: (find_all, improving_only) modes every draw is scanned in
+SCAN_MODES = ((False, True), (True, True), (True, False))
+
+PATH_FAMILIES = ("multicast", "general", "weighted", "directed")
 
 
 def _random_subsidies(graph, rng, density=0.4):
@@ -34,43 +57,165 @@ def _random_subsidies(graph, rng, density=0.4):
     return subs
 
 
-def _assert_scans_equal(binding, engine, subsidies, tol=LP_TOL):
-    wb = engine.net_weights(engine.subsidy_vector(subsidies))
-    for find_all in (False, True):
-        fast = binding.scan(wb, tol=tol, find_all=find_all)
-        slow = binding.scan_legacy(wb, tol=tol, find_all=find_all)
-        assert len(fast) == len(slow)
-        for a, b in zip(fast, slow):
-            assert a.player == b.player and a.position == b.position
-            assert a.current_cost == b.current_cost
-            assert a.deviation_cost == b.deviation_cost
-            assert a.node_ids == b.node_ids and a.edge_ids == b.edge_ids
-    # the all-players mode (no improvement filtering) must agree too
-    fast_all = binding.scan(wb, tol=tol, find_all=True, improving_only=False)
-    slow_all = binding.scan_legacy(wb, tol=tol, find_all=True, improving_only=False)
-    assert [(a.player, a.deviation_cost, tuple(a.edge_ids)) for a in fast_all] == [
-        (b.player, b.deviation_cost, tuple(b.edge_ids)) for b in slow_all
-    ]
+def _tree_case(seed):
+    """A broadcast MST state and its subsidy draws: none, 3 random, LP (3) optimum."""
+    rng = np.random.default_rng(seed)
+    g = random_tree_plus_chords(30 + 5 * seed, 15, seed=seed, chord_factor=1.1)
+    state = BroadcastGame(g, root=0).mst_state()
+    draws = [None] + [_random_subsidies(g, rng) for _ in range(3)]
+    # At the LP(3) optimum several Lemma 2 constraints are tight.
+    draws.append(solve_sne_broadcast_lp3(state).subsidies)
+    return state, draws
+
+
+def _path_case(family):
+    """A path-family state on one graph and its subsidy draws: none, 3 random."""
+    rng = np.random.default_rng(PATH_FAMILIES.index(family) + 101)
+    g = random_tree_plus_chords(24, 12, seed=11, chord_factor=1.1)
+    others = [u for u in g.nodes if u != 0]
+    if family == "multicast":
+        game = MulticastGame(g, 0, others[:8])
+        state = game.default_state()
+    elif family == "general":
+        game = NetworkDesignGame(g, [(u, 0) for u in others[:8]])
+        state = game.shortest_path_state()
+    elif family == "weighted":
+        demands = [1.0 + (i % 4) * 0.5 for i in range(8)]
+        game = WeightedNetworkDesignGame(g, [(u, 0) for u in others[:8]], demands)
+        state = game.shortest_path_state()
+    else:
+        game = DirectedNetworkDesignGame(g, [(u, 0) for u in others[:8]])
+        state = game.shortest_path_state()
+    return state, [None] + [_random_subsidies(g, rng) for _ in range(3)]
+
+
+def _scan_digest(state, draws, tol=LP_TOL):
+    """SHA-256 over the scan records of every draw in every mode."""
+    engine = BestResponseEngine.for_graph(state.game.graph)
+    binding = engine.bind(state)
+    h = hashlib.sha256()
+    for subsidies in draws:
+        wb = engine.net_weights(engine.subsidy_vector(subsidies))
+        for find_all, improving_only in SCAN_MODES:
+            recs = binding.scan(
+                wb, tol=tol, find_all=find_all, improving_only=improving_only
+            )
+            for rec in recs:
+                h.update(
+                    f"{rec.player} {rec.position} {float(rec.current_cost).hex()} "
+                    f"{float(rec.deviation_cost).hex()} {rec.node_ids} "
+                    f"{rec.edge_ids}\n".encode()
+                )
+            h.update(b"--\n")
+    return h.hexdigest()
+
+
+SCAN_DIGESTS = {
+    "directed": "df3a85ed25b4a662731d5d314095024babc04c2e241a5c1e62ff74b40743f2f1",
+    "general": "bb288164129e81f502feffafe7ef561db5d4ff1e5f2b72af9b45d4b9028c0865",
+    "multicast": "2591a0b1724eeac99f14ecab2c632786ba06dfc078c7d30df001611373a8306a",
+    "tree-1": "8a8bdf73629efa03ffbf785d2fe3501bfe123b373d07a5fffc2f5de20493687c",
+    "tree-2": "0bf3bb3d473e1206c20bf89855dba661d32ccb8b8852edc8ceef857c7ece93d4",
+    "tree-3": "7c6d53468e258c04fb72c9cf6a16c3e7568802a9087f95e8e5715f0de6e1764a",
+    "tree-4": "fec67953cb959911a065adc0f30eec967d97eef9b0b8a6ab5b57c376aa7f30bb",
+    "weighted": "a70a4642b2f56a2b5dc240d462dbca1a86f7a72946598a7d806083a96ef63a70",
+}
+
+
+def test_every_case_is_pinned():
+    assert set(SCAN_DIGESTS) == {f"tree-{s}" for s in (1, 2, 3, 4)} | set(PATH_FAMILIES)
+
+
+def _assert_matches_reference(state, subsidies, tol=LP_TOL):
+    """The engine check equals the dict-based label oracle, player by player."""
+    a = check_equilibrium(state, subsidies, tol=tol, find_all=True)
+    b = check_equilibrium_legacy(state, subsidies, tol=tol, find_all=True)
+    assert a.is_equilibrium == b.is_equilibrium
+    assert [d.player for d in a.deviations] == [d.player for d in b.deviations]
+    for da, db in zip(a.deviations, b.deviations):
+        assert da.current_cost == pytest.approx(db.current_cost, rel=1e-12, abs=1e-12)
+        assert da.deviation_cost == pytest.approx(db.deviation_cost, rel=1e-12, abs=1e-12)
+    return a
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_tree_binding_parity(seed):
-    rng = np.random.default_rng(seed)
-    g = random_tree_plus_chords(30 + 5 * seed, 15, seed=seed, chord_factor=1.1)
-    state = BroadcastGame(g, root=0).mst_state()
-    engine = BestResponseEngine.for_graph(g)
+    state, draws = _tree_case(seed)
+    assert _scan_digest(state, draws) == SCAN_DIGESTS[f"tree-{seed}"]
+    for subsidies in draws:
+        _assert_matches_reference(state, subsidies)
+    # at the LP (3) optimum the Lemma 2 certificate skips every search
+    engine = BestResponseEngine.for_graph(state.game.graph)
     binding = engine.bind(state)
-    _assert_scans_equal(binding, engine, None)
-    for _ in range(3):
-        _assert_scans_equal(binding, engine, _random_subsidies(g, rng))
-    # At the LP(3) optimum several Lemma 2 constraints are tight: the
-    # certificate must still agree with the per-player reference.
-    opt = solve_sne_broadcast_lp3(state).subsidies
-    _assert_scans_equal(binding, engine, opt)
     before = engine.stats.snapshot()
-    assert binding.scan(engine.net_weights(engine.subsidy_vector(opt)), tol=LP_TOL) == []
+    assert binding.scan(engine.net_weights(engine.subsidy_vector(draws[-1])), tol=LP_TOL) == []
     delta = engine.stats.delta(before)
     assert delta["dijkstra_calls"] == 0 and delta["players_batched"] > 0
+
+
+@pytest.mark.parametrize("family", PATH_FAMILIES)
+def test_path_binding_parity(family):
+    state, draws = _path_case(family)
+    assert _scan_digest(state, draws) == SCAN_DIGESTS[family]
+    for subsidies in draws:
+        _assert_matches_reference(state, subsidies)
+
+
+#: (game family, wrapper params): one-way chords make directed states
+#: asymmetric, random demands make weighted shares non-uniform
+RULE_FAMILIES = (
+    ("directed", {"orientation": "oneway-chords"}),
+    ("weighted", {"demands": "random"}),
+)
+
+
+@pytest.mark.parametrize("topology", ["grid", "power-law", "augmented-cube"])
+@pytest.mark.parametrize("family,params", RULE_FAMILIES, ids=[f for f, _ in RULE_FAMILIES])
+def test_label_reference_equals_engine_on_rule_families(topology, family, params):
+    """Asymmetric directed and weighted states, at b = 0, random subsidies
+    and the LP (1) optimum."""
+    deviating = 0
+    for seed in (0, 1, 2):
+        game = build_scenario(topology, n=16, seed=seed, game=family, **params)
+        state = game.default_state()
+        rng = np.random.default_rng(seed)
+        draws = [None] + [_random_subsidies(game.graph, rng) for _ in range(3)]
+        opt = solve_sne_cutting_plane_lp1(state)
+        assert opt.feasible and opt.verified
+        draws.append(opt.subsidies)
+        for subsidies in draws:
+            deviating += len(_assert_matches_reference(state, subsidies).deviations)
+        # at the LP (1) optimum the reference agrees that the state is stable
+        assert check_equilibrium_legacy(state, opt.subsidies, tol=LP_TOL).is_equilibrium
+    assert deviating > 0  # the matrix reaches the deviation branch
+
+
+def test_directed_reference_honours_arc_directions():
+    """Going 2 -> 1 -> 0 (cost 2) would beat the direct edge (cost 10),
+    but only 0 -> 1 -> 2 is open, so player 0 is stable."""
+    g = Graph.from_edges([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0)])
+    game = DirectedNetworkDesignGame(g, [(2, 0)], arcs=[(2, 0), (0, 2), (0, 1), (1, 2)])
+    state = game.state([[2, 0]])
+    assert check_equilibrium(state).is_equilibrium
+    assert check_equilibrium_legacy(state).is_equilibrium
+    dev = best_response(state, 0)
+    assert dev.path_nodes == [2, 0] and dev.deviation_cost == 10.0
+
+
+def test_weighted_reference_prices_by_demand():
+    """Weighted states have loads, not edge sets: the reference reads them."""
+    g = Graph.from_edges([(0, 1, 4.0), (0, 2, 1.1), (1, 2, 1.1)])
+    game = WeightedNetworkDesignGame(g, [(1, 0), (1, 0)], [1.0, 9.0])
+    state = game.state([[1, 0], [1, 0]])
+    report = _assert_matches_reference(state, None)
+    assert not report.is_equilibrium
+    assert [d.player for d in report.deviations] == [1]
+    # player 1 pays 9/10 of 4.0; joining the bypass alone costs 2.2
+    assert report.deviations[0].current_cost == pytest.approx(3.6)
+    assert report.deviations[0].deviation_cost == pytest.approx(2.2)
+    # player 0's own share (4.0 / 10) is already below the bypass
+    stay = best_response(state, 0)
+    assert stay.path_nodes == [1, 0] and stay.deviation_cost == pytest.approx(0.4)
 
 
 def _lca_walk(binding, uid, vid, e_uv):
@@ -176,31 +321,6 @@ class _one_incidence:
         self._incidences = [incidence]
 
 
-@pytest.mark.parametrize("family", ["multicast", "general", "weighted", "directed"])
-def test_path_binding_parity(family):
-    rng = np.random.default_rng(hash(family) % 2**32)
-    g = random_tree_plus_chords(24, 12, seed=11, chord_factor=1.1)
-    others = [u for u in g.nodes if u != 0]
-    if family == "multicast":
-        game = MulticastGame(g, 0, others[:8])
-        state = game.default_state()
-    elif family == "general":
-        game = NetworkDesignGame(g, [(u, 0) for u in others[:8]])
-        state = game.shortest_path_state()
-    elif family == "weighted":
-        demands = [1.0 + (i % 4) * 0.5 for i in range(8)]
-        game = WeightedNetworkDesignGame(g, [(u, 0) for u in others[:8]], demands)
-        state = game.shortest_path_state()
-    else:
-        game = DirectedNetworkDesignGame(g, [(u, 0) for u in others[:8]])
-        state = game.shortest_path_state()
-    engine = BestResponseEngine.for_graph(g)
-    binding = engine.bind(state)
-    _assert_scans_equal(binding, engine, None)
-    for _ in range(3):
-        _assert_scans_equal(binding, engine, _random_subsidies(g, rng))
-
-
 def test_oracle_stats_counters():
     stats = OracleStats()
     snap = stats.snapshot()
@@ -269,3 +389,10 @@ def test_engine_profile_incremental_arc_costs():
         expected = (profile.wb / (profile.usage + 1.0))[engine.ig.adj_edge]
         assert np.allclose(profile._arc_base, expected, rtol=0, atol=0)
         assert profile._usage_l == profile.usage.tolist()
+
+
+if __name__ == "__main__":
+    for seed in (1, 2, 3, 4):
+        print(f"    'tree-{seed}': {_scan_digest(*_tree_case(seed))!r},")
+    for family in PATH_FAMILIES:
+        print(f"    {family!r}: {_scan_digest(*_path_case(family))!r},")

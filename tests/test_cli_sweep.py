@@ -133,6 +133,20 @@ class TestSweepCommand:
         ) == 2
         assert "KEY=VALUE" in capsys.readouterr().err
 
+    def test_unknown_option_fails_before_any_job(self, tmp_path, capsys):
+        cache_dir = tmp_path / "c"
+        code = main(
+            [
+                "sweep", "--solver", "sne-poly", "--n", "8",
+                "--opt", "fast=false", "--cache-dir", str(cache_dir),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "does not take option(s) 'fast'" in err
+        assert "[1/1]" not in err  # no job reached an outcome
+        assert not any(p.is_file() for p in cache_dir.rglob("*"))
+
     def test_progress_on_stderr(self, tmp_path, capsys):
         code = main(
             [

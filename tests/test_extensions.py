@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bounds.instances import theorem11_cycle_instance
 from repro.games import BroadcastGame, check_equilibrium
+from repro.games.equilibrium import best_response
 from repro.games.coalitions import check_strong_equilibrium
 from repro.games.game import NetworkDesignGame
 from repro.games.multicast import MulticastGame
@@ -13,7 +14,6 @@ from repro.games.weighted import (
     WeightedNetworkDesignGame,
     check_weighted_equilibrium,
     solve_weighted_sne,
-    weighted_best_response,
 )
 from repro.graphs import Graph
 from repro.graphs.generators import random_connected_gnp, random_tree_plus_chords
@@ -151,8 +151,8 @@ class TestWeighted:
     def test_heavy_player_deviates_first(self, shared_edge_game):
         game = WeightedNetworkDesignGame(shared_edge_game, [(1, 0), (1, 0)], [1.0, 9.0])
         state = game.state([[1, 0], [1, 0]])
-        light, _ = weighted_best_response(state, 0)
-        heavy, _ = weighted_best_response(state, 1)
+        light = best_response(state, 0).deviation_cost
+        heavy = best_response(state, 1).deviation_cost
         # The heavy player's share (3.6) exceeds her bypass (2.2); the light
         # player's share (0.4) does not.
         assert heavy < state.player_cost(1) - 1e-9

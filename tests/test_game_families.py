@@ -23,7 +23,6 @@ from repro.games import (
     WeightedNetworkDesignGame,
     check_equilibrium,
     check_weighted_equilibrium,
-    check_weighted_equilibrium_legacy,
     family_of,
     rule_from_json,
     solve_weighted_sne,
@@ -174,12 +173,12 @@ class TestWeightedEngineParity:
             game = WeightedNetworkDesignGame(g, [(u, 0) for u in others], demands)
             state = game.shortest_path_state()
             assert check_weighted_equilibrium(state) == (
-                check_weighted_equilibrium_legacy(state)
+                check_equilibrium_legacy(state).is_equilibrium
             )
             sub, cost = solve_weighted_sne(state)
             assert sub is not None and cost < float("inf")
             assert check_weighted_equilibrium(state, sub, tol=1e-6)
-            assert check_weighted_equilibrium_legacy(state, sub, tol=1e-6)
+            assert check_equilibrium_legacy(state, sub, tol=1e-6).is_equilibrium
 
     def test_heavier_demand_raises_subsidy_bill(self):
         g = Graph.from_edges([(0, 1, 4.0), (0, 2, 1.1), (1, 2, 1.1)])

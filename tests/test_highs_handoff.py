@@ -123,12 +123,12 @@ def test_status_mapping_matches_linprog(build, expected):
     assert highs.solve_dense(inc.to_linear_program()).status is expected
 
 
-def _reports(solvers_by_family, **opts):
+def _reports(solvers_by_family):
     out = []
     for family, solvers in solvers_by_family.items():
         game = _family_games(family)[2]
         for solver in solvers:
-            report = api.solve(game, solver, **opts)
+            report = api.solve(game, solver)
             payload = api.serialize.canonical_report_json(report)
             out.append(json.dumps(payload, sort_keys=True))
     return out
@@ -182,13 +182,8 @@ def test_pass_model_failure_falls_back_with_identical_reports(monkeypatch):
         "general": ["sne-lp1", "sne-lp2"],
         "directed": ["sne-lp2"],
     }
-    dense_lp2 = {"broadcast": ["sne-lp2"], "weighted": ["sne-lp2"]}
     dense = {"broadcast": ["approx-greedy", "aon-exact"], "weighted": ["approx-greedy"]}
-
-    def dense_reports():
-        return _reports(dense_lp2, fast=False) + _reports(dense)
-
-    expected = (_reports(sparse), dense_reports())
+    expected = (_reports(sparse), _reports(dense))
 
     fallbacks = []
 
@@ -203,7 +198,7 @@ def test_pass_model_failure_falls_back_with_identical_reports(monkeypatch):
     assert _reports(sparse) == expected[0]
     sparse_fallbacks = len(fallbacks)
     assert sparse_fallbacks and all(t is not np.ndarray for t in fallbacks)
-    assert dense_reports() == expected[1]
+    assert _reports(dense) == expected[1]
     assert np.ndarray in fallbacks[sparse_fallbacks:]
 
 

@@ -163,11 +163,19 @@ class TestRunner:
         assert result_bytes(r1) == result_bytes(r4)
 
     def test_failure_captured_not_raised(self):
-        jobs = small_spec(opts={"bogus_option": 123}).expand()
+        jobs = small_spec(solvers=["sne-lp3"], opts={"method": "no-such-backend"}).expand()
         result = SweepRunner(cache=False).run(jobs)
         assert not result.ok
         assert {o.status for o in result} == {"failed"}
-        assert all("bogus_option" in (o.error or "") for o in result)
+        assert all("no-such-backend" in (o.error or "") for o in result)
+
+    def test_unknown_option_refused_before_any_job(self):
+        """An option a solver does not take never reaches a job (or the cache)."""
+        done = []
+        runner = SweepRunner(cache=False, progress=lambda o, d, t: done.append(o))
+        with pytest.raises(TypeError, match="'bogus_option'"):
+            runner.run(small_spec(opts={"bogus_option": 123}).expand())
+        assert done == []
 
     def test_unknown_solver_fails_fast(self):
         spec = small_spec(solvers=["definitely-not-a-solver"])

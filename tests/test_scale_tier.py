@@ -14,7 +14,7 @@ Covers the anytime/approximate subsidy stack end to end:
   per-level ``add.at`` fold it replaced;
 * the greedy/primal-dual solvers emit *valid* gap certificates
   (``lower_bound <= exact optimum <= budget``) on every game family, with
-  fast/cold parity and primal-dual convergence to the exact LP subsidies;
+  primal-dual convergence to the exact LP subsidies;
 * anytime stopping (deadline / target gap / max rounds) always returns a
   feasible, verified assignment;
 * the CLI / serve surfaces: ``--anytime`` knobs, peak-RSS metadata,
@@ -805,14 +805,6 @@ class TestCertifiedGaps:
         assert cert.lower_bound <= exact.cost + 1e-6
         assert exact.cost <= greedy.cost + 1e-6
         assert cert.gap == pytest.approx(cert.upper_bound - cert.lower_bound)
-
-    @pytest.mark.parametrize("family", sorted(_family_zoo()))
-    def test_greedy_fast_cold_parity(self, family, zoo_states):
-        state = zoo_states[family]
-        fast = solve_sne_greedy(state, fast=True)
-        cold = solve_sne_greedy(state, fast=False)
-        assert dict(fast.subsidies.items()) == dict(cold.subsidies.items())
-        assert fast.verified == cold.verified
 
     def test_zoo_is_nontrivial(self, zoo_states):
         """At least one family needs a strictly positive budget."""

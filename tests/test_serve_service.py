@@ -243,6 +243,23 @@ class TestSolverService:
             )
         assert excinfo.value.status == 400
 
+    def test_unknown_option_is_400_even_on_a_cache_hit(self, tmp_path):
+        """Options the solver does not take are refused before the cache
+        lookup, so a stored entry under their key cannot answer for them."""
+        instance = _instance()
+        spec = api.get_solver("sne-poly")
+        opts = {"fast": False}
+        service = SolverService(ServeConfig(cache=tmp_path))
+        key = cache_module.solve_job_key(instance, spec.name, spec.version, opts)
+        game = api.serialize.game_from_json(instance)
+        payload = api.serialize.report_to_json(api.solve(game, "sne-poly"))
+        cache_module.store_solve_entry(service.cache, key, spec.name, payload, 0.0)
+        assert cache_module.cached_entry(service.cache, key) is not None
+        with pytest.raises(ServeRequestError, match="'fast'") as excinfo:
+            service.solve_json({"instance": instance, "solver": "sne-poly", "opts": opts})
+        assert excinfo.value.status == 400
+        assert "result_cache_hits" not in service.counters.as_dict()
+
     def test_result_cache_round_trip_within_service(self, tmp_path):
         service = SolverService(ServeConfig(cache=tmp_path))
         request = {"instance": _instance(), "solver": "sne-lp2"}
